@@ -83,13 +83,14 @@ the paper's parameters off their published defaults. ``index`` writes
 the database to a temporary sibling path and atomically renames it into
 place, so a killed build never publishes a partial store.
 
-Both subcommands accept ``--shards N`` (and ``--shard-workers M`` for a
-thread-pool fan-out): the corpus is hash-partitioned into N shards,
-``index`` writes one store per shard at ``STORE.shardII-of-NN`` (each
-with its own crash-safe manifest), and ``search`` federates the query
-across the shards and k-way-merges per-shard rankings. Federated
-rankings are byte-identical to the single-engine ranking; a damaged
-shard store degrades only its own shard.
+``index``, ``search`` and ``serve`` accept ``--shards N`` (and
+``--shard-workers M`` for a thread-pool fan-out): every command runs
+one engine, a federation over N hash shards of the corpus. ``index``
+writes one store per shard at ``STORE.shardII-of-NN`` (each with its
+own crash-safe manifest) and ``search`` k-way-merges the per-shard
+rankings. The default, one shard, holds the whole corpus and is stored
+at the plain ``STORE`` path. Rankings are byte-identical at every shard
+count; a damaged shard store degrades only its own shard.
 
 Observability (see docs/OBSERVABILITY.md for the instrument catalog):
 --profile traces the hot paths through :mod:`repro.core.obs` and prints
@@ -113,11 +114,12 @@ from .core.config import (ALL_STRATEGIES, RELATIONSHIPS,
                           XOntoRankConfig)
 from .core.obs import (Tracer, render_profile, write_chrome_trace,
                        write_metrics_jsonl)
-from .core.query.engine import XOntoRankEngine, build_engines
+from .core.query.engine import (SearchEngine, XOntoRankEngine,
+                                build_engines)
 from .core.stats import (ONTOLOGY_CACHE_HITS,
                          ONTOLOGY_CACHE_INVALIDATIONS,
                          ONTOLOGY_CACHE_MISSES, StatsRegistry)
-from .core.query.federated import FederatedEngine, shard_store_path
+from .core.query.federated import FederatedEngine, shard_store_paths
 from .emr.synth import generate_cardiac_emr
 from .evaluation.metrics import run_survey
 from .evaluation.oracle import RelevanceOracle
@@ -170,6 +172,8 @@ def _config_from(args: argparse.Namespace) -> XOntoRankConfig:
 
 
 def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", choices=ALL_STRATEGIES,
+                        default=RELATIONSHIPS)
     parser.add_argument("--decay", type=float, default=0.5,
                         help="score attenuation per edge (paper: 0.5)")
     parser.add_argument("--threshold", type=float, default=0.1,
@@ -199,8 +203,7 @@ def _tracer_from(args: argparse.Namespace) -> Tracer | None:
     return None
 
 
-def _emit_profile(args: argparse.Namespace,
-                  engine: "XOntoRankEngine | FederatedEngine",
+def _emit_profile(args: argparse.Namespace, engine: SearchEngine,
                   tracer: Tracer | None) -> None:
     if tracer is None:
         return
@@ -216,23 +219,45 @@ def _emit_profile(args: argparse.Namespace,
 
 
 def _make_engine(args: argparse.Namespace, corpus, ontology,
-                 tracer: Tracer | None,
-                 ) -> XOntoRankEngine | FederatedEngine:
-    """One engine (``--shards 1``, the default) or a federated facade
-    over N shard engines. Both expose the same search/index surface and
-    produce byte-identical rankings."""
-    ontology = ontology if args.strategy != "xrank" else None
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
-    if args.shards > 1:
-        return FederatedEngine(corpus, ontology, strategy=args.strategy,
-                               config=_config_from(args),
-                               shards=args.shards,
-                               shard_workers=args.shard_workers,
-                               tracer=tracer)
-    return XOntoRankEngine(corpus, ontology, strategy=args.strategy,
-                           config=_config_from(args), tracer=tracer)
+                 tracer: Tracer | None) -> FederatedEngine:
+    """The engine every command runs: a federation over ``--shards``
+    leaves. One shard (the default) is one leaf over the whole corpus;
+    rankings are byte-identical at every count."""
+    return FederatedEngine(
+        corpus, ontology if args.strategy != "xrank" else None,
+        strategy=args.strategy, config=_config_from(args),
+        shards=args.shards, shard_workers=args.shard_workers,
+        tracer=tracer)
+
+
+def _store_layout(args: argparse.Namespace) -> tuple[list[str], str, str]:
+    """``--store`` as per-shard paths, how ``index`` names where it
+    wrote, and the command that builds the layout. The plain path
+    (what :func:`shard_store_paths` makes of one shard) reads exactly
+    as it did before sharding existed: no range, no flag."""
+    paths = shard_store_paths(args.store, args.shards)
+    build = (f"python -m repro index --data {args.data} "
+             f"--store {args.store}")
+    if paths == [args.store]:
+        return paths, args.store, build
+    return (paths,
+            f"{paths[0]} .. {paths[-1]} ({args.shards} shards)",
+            f"{build} --shards {args.shards}")
+
+
+def _open_read_store(path: str, args: argparse.Namespace,
+                     engine: SearchEngine):
+    """Open one persisted index read-only under the one retry policy.
+
+    Retries target the SQLite backend's transient faults (locked or
+    busy databases). An mmap store has none -- and wrapping it would
+    hide the zero-copy posting-block fast path.
+    """
+    store = open_read_store(path, tracer=engine.tracer)
+    if args.retries > 0 and not isinstance(store, MmapStore):
+        return RetryingStore(store, max_attempts=args.retries + 1,
+                             stats=engine.stats, tracer=engine.tracer)
+    return store
 
 
 # ----------------------------------------------------------------------
@@ -309,57 +334,34 @@ def command_index(args: argparse.Namespace) -> int:
     tracer = _tracer_from(args)
     engine = _make_engine(args, corpus, ontology, tracer)
     ontology_cache = None
-    if getattr(args, "ontology_cache", None):
-        if isinstance(engine, FederatedEngine):
-            print("note: --ontology-cache is ignored with --shards > 1",
-                  file=sys.stderr)
-        else:
-            cache_store = SQLiteStore(args.ontology_cache)
-            ontology_cache = engine.attach_ontology_cache(cache_store)
-            if ontology_cache is None:  # xrank has nothing to cache
-                cache_store.close()
+    if args.ontology_cache:
+        cache_store = SQLiteStore(args.ontology_cache)
+        ontology_cache = engine.attach_ontology_cache(cache_store)
+        if ontology_cache is None:  # xrank has nothing to cache
+            cache_store.close()
+    paths, destination, _ = _store_layout(args)
     if args.append:
-        return _append_to_stores(args, engine, tracer)
-    # Crash safety: every store is written to a ".building" sibling and
-    # atomically renamed into place only after its manifest's
-    # completion marker has landed. With --shards N, each shard gets
-    # its own store (and manifest) at a derived sibling path.
-    if isinstance(engine, FederatedEngine):
-        paths = [shard_store_path(args.store, shard, args.shards)
-                 for shard in range(args.shards)]
-        with contextlib.ExitStack() as stack:
-            stores = [stack.enter_context(
-                _atomic_build(path, args.store_format))
-                      for path in paths]
-            index = engine.build_index(radius=args.radius,
-                                       stores=stores,
-                                       workers=args.workers)
-            workers = stores[0].get_metadata("build_workers")
-            mode = stores[0].get_metadata("build_mode")
-            chunks = stores[0].get_metadata("build_chunks")
-            checksum = stores[0].get_metadata(CHECKSUM_KEY_PREFIX
-                                              + args.strategy) or ""
-        destination = (f"{paths[0]} .. {paths[-1]} "
-                       f"({args.shards} shards)")
-        audit_path = paths[0]
-    else:
-        with _atomic_build(args.store, args.store_format) as store:
-            index = engine.build_index(radius=args.radius, store=store,
-                                       workers=args.workers)
-            workers = store.get_metadata("build_workers")
-            mode = store.get_metadata("build_mode")
-            chunks = store.get_metadata("build_chunks")
-            checksum = store.get_metadata(CHECKSUM_KEY_PREFIX
+        return _append_to_stores(args, engine, paths, tracer)
+    # Crash safety: every shard's store (and manifest) is written to a
+    # ".building" sibling and atomically renamed into place only after
+    # its manifest's completion marker has landed.
+    with contextlib.ExitStack() as stack:
+        stores = [stack.enter_context(
+            _atomic_build(path, args.store_format)) for path in paths]
+        index = engine.build_index(radius=args.radius, stores=stores,
+                                   workers=args.workers)
+        workers = stores[0].get_metadata("build_workers")
+        mode = stores[0].get_metadata("build_mode")
+        chunks = stores[0].get_metadata("build_chunks")
+        checksum = stores[0].get_metadata(CHECKSUM_KEY_PREFIX
                                           + args.strategy) or ""
-        destination = args.store
-        audit_path = args.store
     print(f"built {len(index)} XOnto-DILs "
           f"({index.total_postings()} postings, "
           f"{index.total_size_bytes() / 1024:.1f} KB) -> {destination}")
     print(f"build: workers={workers} mode={mode} chunks={chunks}")
     print(f"manifest: complete checksum={checksum[:12]} "
           f"(audit with `python -m repro verify-index "
-          f"--store {audit_path}`)")
+          f"--store {paths[0]}`)")
     print(f"dil-cache: {engine.cache_stats().render()}")
     if ontology_cache is not None:
         counters = engine.stats.snapshot()
@@ -375,20 +377,14 @@ def command_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _append_to_stores(args: argparse.Namespace,
-                      engine: "XOntoRankEngine | FederatedEngine",
-                      tracer: Tracer | None) -> int:
+def _append_to_stores(args: argparse.Namespace, engine: FederatedEngine,
+                      paths: list[str], tracer: Tracer | None) -> int:
     """``index --append``: one immutable segment per store holding the
     data directory's documents the store has not indexed yet."""
     from .core.stats import (APPEND_KEYWORDS_BUILT,
                              APPEND_KEYWORDS_SKIPPED, SEGMENTS_LIVE)
     from .storage.errors import IncompatibleIndexError
     from .storage.segments import load_catalog
-    if isinstance(engine, FederatedEngine):
-        paths = [shard_store_path(args.store, shard, args.shards)
-                 for shard in range(args.shards)]
-    else:
-        paths = [args.store]
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
         print(f"error: --append needs an existing store; missing: "
@@ -420,12 +416,7 @@ def _append_to_stores(args: argparse.Namespace,
                   f"is already live in the store")
             return 0
         try:
-            if isinstance(engine, FederatedEngine):
-                engine.add_documents(new_docs, stores,
-                                     radius=args.radius)
-            else:
-                engine.add_documents(new_docs, stores[0],
-                                     radius=args.radius)
+            engine.add_documents(new_docs, stores, radius=args.radius)
         except (StorageError, ValueError) as exc:
             print(f"error: cannot append to {args.store}: {exc}",
                   file=sys.stderr)
@@ -444,13 +435,8 @@ def _append_to_stores(args: argparse.Namespace,
 
 def command_compact(args: argparse.Namespace) -> int:
     from .core.index.segments import compact_store
-    if args.shards > 1:
-        paths = [shard_store_path(args.store, shard, args.shards)
-                 for shard in range(args.shards)]
-    else:
-        paths = [args.store]
     exit_code = 0
-    for path in paths:
+    for path in shard_store_paths(args.store, args.shards):
         if not os.path.exists(path):
             print(f"error: no index store at {path}", file=sys.stderr)
             exit_code = 2
@@ -482,38 +468,28 @@ def command_compact(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _load_store_or_degrade(engine: XOntoRankEngine, path: str,
+def _load_store_or_degrade(leaf: XOntoRankEngine, path: str,
                            args: argparse.Namespace,
-                           build_hint: str | None = None) -> int:
-    """Load one persisted index into one engine per the chosen policy.
+                           build: str) -> int:
+    """Load one shard's persisted index per the chosen policy.
 
     Returns an exit code: 0 on success (including degraded operation),
     2 on a fail-fast error. Fail-fast is chosen by --strict or
     --no-fallback; the default degrades -- a store that is missing a
     posting list falls back per keyword, a store that fails validation
-    outright is discarded with a warning and the engine serves from
-    the corpus. For a federated search this runs once per shard, so a
-    damaged shard store degrades only that shard.
+    outright is discarded with a warning and the shard serves from
+    the corpus. Running once per shard, a damaged shard store degrades
+    only that shard.
     """
     fail_fast = args.strict or args.no_fallback
     if not os.path.exists(path):
-        hint = build_hint or (f"python -m repro index "
-                              f"--data {args.data} --store {args.store}")
         print(f"error: no index store at {path} -- build one "
-              f"with `{hint}`", file=sys.stderr)
+              f"with `{build}`", file=sys.stderr)
         return 2
-    store = None
+    reader = None
     try:
-        store = open_read_store(path, tracer=engine.tracer)
-        reader = store
-        # Retries target the SQLite backend's transient faults (locked
-        # or busy databases). An mmap store has none -- and wrapping it
-        # would hide the zero-copy posting-block fast path.
-        if args.retries > 0 and not isinstance(store, MmapStore):
-            reader = RetryingStore(store, max_attempts=args.retries + 1,
-                                   stats=engine.stats,
-                                   tracer=engine.tracer)
-        loaded = engine.load_index(reader, fallback=not fail_fast)
+        reader = _open_read_store(path, args, leaf)
+        loaded = leaf.load_index(reader, fallback=not fail_fast)
         print(f"loaded {loaded} posting lists from {path}")
         return 0
     except StorageError as exc:
@@ -522,30 +498,14 @@ def _load_store_or_degrade(engine: XOntoRankEngine, path: str,
             print(f"error: cannot use index store {path}: {exc}",
                   file=sys.stderr)
             return 2
-        engine.stats.increment(FALLBACK_STORE_DISCARDS)
+        leaf.stats.increment(FALLBACK_STORE_DISCARDS)
         print(f"warning: ignoring index store {path} ({exc}); "
               f"building posting lists from the corpus",
               file=sys.stderr)
         return 0
     finally:
-        if store is not None:
-            store.close()
-
-
-def _load_stores(engine: "XOntoRankEngine | FederatedEngine",
-                 args: argparse.Namespace) -> int:
-    """Load --store into the engine; per shard when federated."""
-    if isinstance(engine, FederatedEngine):
-        hint = (f"python -m repro index --data {args.data} "
-                f"--store {args.store} --shards {args.shards}")
-        for shard, shard_engine in enumerate(engine.shard_engines):
-            path = shard_store_path(args.store, shard, args.shards)
-            code = _load_store_or_degrade(shard_engine, path, args,
-                                          build_hint=hint)
-            if code != 0:
-                return code
-        return 0
-    return _load_store_or_degrade(engine, args.store, args)
+        if reader is not None:
+            reader.close()
 
 
 def command_search(args: argparse.Namespace) -> int:
@@ -553,10 +513,12 @@ def command_search(args: argparse.Namespace) -> int:
     tracer = _tracer_from(args)
     engine = _make_engine(args, corpus, ontology, tracer)
     if args.store:
-        code = _load_stores(engine, args)
-        if code != 0:
-            return code
-    if getattr(args, "narrative", False):
+        paths, _, build = _store_layout(args)
+        for leaf, path in zip(engine.shard_engines, paths):
+            code = _load_store_or_degrade(leaf, path, args, build)
+            if code != 0:
+                return code
+    if args.narrative:
         try:
             engine.enable_narrative()
         except ValueError as exc:
@@ -601,43 +563,23 @@ def command_search(args: argparse.Namespace) -> int:
 
 
 def _serving_stores(args: argparse.Namespace,
-                    engine: "XOntoRankEngine | FederatedEngine") -> int:
+                    engine: FederatedEngine) -> int:
     """Open --store read-only and put the engine in read-through mode
     (cache misses served from the store, strict per shard so the
     server's circuit breakers see real faults); optionally pre-warm.
     The stores stay open for the process lifetime."""
-    if isinstance(engine, FederatedEngine):
-        paths = [shard_store_path(args.store, shard, args.shards)
-                 for shard in range(args.shards)]
-    else:
-        paths = [args.store]
+    paths, _, build = _store_layout(args)
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
         print(f"error: no index store at {', '.join(missing)} -- "
-              f"build one with `python -m repro index --data {args.data} "
-              f"--store {args.store}"
-              + (f" --shards {args.shards}`" if args.shards > 1
-                 else "`"), file=sys.stderr)
+              f"build one with `{build}`", file=sys.stderr)
         return 2
-    readers = []
     try:
-        for path in paths:
-            store = open_read_store(path)
-            reader = store
-            if args.retries > 0 and not isinstance(store, MmapStore):
-                reader = RetryingStore(store,
-                                       max_attempts=args.retries + 1,
-                                       stats=engine.stats)
-            readers.append(reader)
-        if isinstance(engine, FederatedEngine):
-            engine.attach_read_stores(readers)
-        else:
-            engine.attach_read_store(readers[0])
+        readers = [_open_read_store(path, args, engine)
+                   for path in paths]
+        engine.attach_read_stores(readers)
         if not args.no_warm:
-            if isinstance(engine, FederatedEngine):
-                loaded = engine.load_index(readers)
-            else:
-                loaded = engine.load_index(readers[0])
+            loaded = engine.load_index(readers)
             print(f"warmed {loaded} posting lists from {args.store}")
     except StorageError as exc:
         print(f"error: cannot serve index store {args.store}: {exc}",
@@ -801,18 +743,53 @@ def command_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
-def _positive_int(text: str) -> int:
-    """Argparse type for ``--top-k``: the query layer requires k >= 1,
-    so reject 0/negatives here with a usage error, not a traceback."""
+def _bounded_int(text: str, minimum: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 1:
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer (got {value})")
+            f"must be a {kind} integer (got {value})")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for counts the layers below require >= 1 (top-k,
+    shards, workers): reject 0/negatives here with a usage error, not
+    a traceback."""
+    return _bounded_int(text, 1, "positive")
+
+
+def _cache_size(text: str) -> int:
+    """Argparse type for ``--cache-size``: 0 is valid (it disables the
+    DIL cache), negatives are a usage error."""
+    return _bounded_int(text, 0, "non-negative")
+
+
+def _add_shard_flags(parser: argparse.ArgumentParser,
+                     fan_out: bool = True) -> None:
+    parser.add_argument(
+        "--shards", type=_positive_int, default=1,
+        help="hash-partition the corpus into N shards, one store each "
+             "at STORE.shardII-of-NN (1 = the plain STORE path; "
+             "rankings are identical at every count)")
+    if fan_out:
+        parser.add_argument(
+            "--shard-workers", type=_positive_int, default=None,
+            help="thread-pool size for the shard fan-out "
+                 "(default: sequential)")
+
+
+def _add_read_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-size", type=_cache_size, default=None,
+                        help="bound the DIL cache to N lists (LRU); "
+                             "default keeps every list")
+    parser.add_argument("--retries", type=int, default=2,
+                        help="retry budget for transient store faults "
+                             "(0 disables retrying; a request deadline "
+                             "also bounds it when serving)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -871,8 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistence backend: sqlite (appendable, "
                             "default) or mmap (compact read-only "
                             "container; O(1) open, shared page cache)")
-    index.add_argument("--strategy", choices=ALL_STRATEGIES,
-                       default=RELATIONSHIPS)
     index.add_argument("--radius", type=int, default=2,
                        help="ontology vocabulary radius (Section VII-B)")
     index.add_argument("--workers", type=int, default=1,
@@ -896,9 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("--store", required=True,
                          help="SQLite database path (logical path with "
                               "--shards)")
-    compact.add_argument("--shards", type=int, default=1,
-                         help="compact every shard store of a "
-                              "federated index")
+    _add_shard_flags(compact, fan_out=False)
     compact.set_defaults(handler=command_compact)
 
     search = subparsers.add_parser("search",
@@ -907,8 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("query")
     search.add_argument("--store", default="",
                         help="optional persisted index to load")
-    search.add_argument("--strategy", choices=ALL_STRATEGIES,
-                        default=RELATIONSHIPS)
     search.add_argument("-k", "--top-k", dest="k", type=_positive_int,
                         default=10,
                         help="number of results (positive; bounded "
@@ -921,12 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--explain", action="store_true",
                         help="print per-keyword evidence")
     search.add_argument("--fragment-lines", type=int, default=6)
-    search.add_argument("--cache-size", type=int, default=None,
-                        help="bound the DIL cache to N lists (LRU); "
-                             "default keeps every list")
-    search.add_argument("--retries", type=int, default=2,
-                        help="retry budget for transient store faults "
-                             "(0 disables retrying)")
+    _add_read_flags(search)
     search.add_argument("--strict", action="store_true",
                         help="fail fast on any storage problem instead "
                              "of degrading to corpus-built lists")
@@ -948,8 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="",
                        help="persisted index to serve read-through "
                             "(recommended; logical path with --shards)")
-    serve.add_argument("--strategy", choices=ALL_STRATEGIES,
-                       default=RELATIONSHIPS)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="0 binds an ephemeral port (printed on "
@@ -980,21 +944,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-cooldown", type=float, default=2.0,
                        help="seconds a tripped breaker waits before "
                             "probing the shard again")
-    serve.add_argument("--cache-size", type=int, default=None,
-                       help="bound the DIL cache to N lists (LRU); "
-                            "default keeps every list")
     serve.add_argument("--no-warm", action="store_true",
                        help="skip pre-loading posting lists; serve "
                             "cold and fill the cache read-through")
-    serve.add_argument("--retries", type=int, default=2,
-                       help="retry budget for transient store faults "
-                            "(deadline-aware; 0 disables retrying)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="serve a federated index over N shard "
-                            "stores")
-    serve.add_argument("--shard-workers", type=int, default=None,
-                       help="thread-pool size for the per-request "
-                            "shard fan-out (default: sequential)")
+    _add_read_flags(serve)
+    _add_shard_flags(serve)
     _add_parameter_flags(serve)
     serve.set_defaults(handler=command_serve)
 
@@ -1020,14 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     for subparser in (index, search):
         _add_parameter_flags(subparser)
         _add_profiling_flags(subparser)
-        subparser.add_argument(
-            "--shards", type=int, default=1,
-            help="partition the corpus into N shards and federate "
-                 "(1 = single engine; rankings are identical)")
-        subparser.add_argument(
-            "--shard-workers", type=int, default=None,
-            help="thread-pool size for the shard fan-out "
-                 "(default: sequential)")
+        _add_shard_flags(subparser)
     return parser
 
 

@@ -71,7 +71,7 @@ class IndexBuilder:
               strategy_name: str | None = None) -> XOntoDILIndex:
         """Build DILs for every word of ``vocabulary``."""
         index = XOntoDILIndex(
-            strategy=strategy_name or self._ontoscore.name)
+            strategy=strategy_name or self.ontoscore.name)
         for word in sorted(set(vocabulary)):
             keyword = Keyword.from_text(word)
             dil, stats = self.build_keyword(keyword)

@@ -34,7 +34,7 @@ from ...storage.segments import segment_view
 from ...xmldoc.model import Corpus
 from ...xmldoc.serializer import serialize
 from ..cache import DILCache
-from ..config import XRANK, XOntoRankConfig
+from ..config import XOntoRankConfig
 from ..obs.tracer import NULL_TRACER
 from ..stats import (CODEC_LAZY_LISTS, CODEC_RAW_FALLBACKS,
                      FALLBACK_REBUILDS, INTEGRITY_FAILURES,
@@ -43,7 +43,7 @@ from .builder import IndexBuilder
 from .dil import DeweyInvertedList, XOntoDILIndex, keyword_from_key
 from .parallel import ParallelIndexBuilder
 from .segments import SegmentLifecycle
-from .vocabulary import corpus_vocabulary, experiment_vocabulary
+from .vocabulary import default_vocabulary
 
 #: corpus object -> (corpus version, fingerprint). Keyed weakly so a
 #: discarded corpus does not pin its fingerprint; the membership version
@@ -244,15 +244,6 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Pre-processing phase
     # ------------------------------------------------------------------
-    def default_vocabulary(self, radius: int = 2) -> set[str]:
-        """The paper's experimental vocabulary rule (Section VII-B)."""
-        if self.strategy == XRANK or self.ontology is None:
-            return corpus_vocabulary(self.corpus,
-                                     self.config.text_policy)
-        return experiment_vocabulary(self.corpus, self.ontology,
-                                     radius=radius,
-                                     text_policy=self.config.text_policy)
-
     def build_index(self, vocabulary: Iterable[str] | None = None,
                     radius: int = 2,
                     store: IndexStore | None = None,
@@ -272,7 +263,9 @@ class IndexManager:
         complete.
         """
         if vocabulary is None:
-            vocabulary = self.default_vocabulary(radius)
+            vocabulary = default_vocabulary(
+                self.corpus, self.ontology, self.strategy, radius,
+                self.config.text_policy)
         vocabulary = set(vocabulary)
         if store is not None:
             # Crash-safety protocol: flip the store to *incomplete*

@@ -15,6 +15,7 @@ from collections import deque
 from ...ir.tokenizer import DEFAULT_STOPWORDS, tokenize_without_stopwords
 from ...ontology.model import Ontology
 from ...xmldoc.model import Corpus, TextPolicy
+from ..config import XRANK
 
 
 def corpus_vocabulary(corpus: Corpus,
@@ -91,6 +92,19 @@ def experiment_vocabulary(corpus: Corpus, ontology: Ontology,
         ontology, referenced_concepts(corpus, ontology), radius)
     words |= concept_vocabulary(ontology, reachable)
     return words
+
+
+def default_vocabulary(corpus: Corpus, ontology: Ontology | None,
+                       strategy: str, radius: int = 2,
+                       text_policy: TextPolicy | None = None,
+                       ) -> set[str]:
+    """What an index build covers when no vocabulary is given:
+    ontology-aware strategies use the paper's experimental rule, the
+    XRANK baseline indexes the document words."""
+    if strategy == XRANK or ontology is None:
+        return corpus_vocabulary(corpus, text_policy)
+    return experiment_vocabulary(corpus, ontology, radius=radius,
+                                 text_policy=text_policy)
 
 
 def full_vocabulary(corpus: Corpus, ontology: Ontology,

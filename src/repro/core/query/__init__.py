@@ -2,11 +2,12 @@
 engine facade (paper Section V-A)."""
 
 from .dil_algorithm import DILQueryProcessor, DILQueryStatistics
-from .engine import XOntoRankEngine, build_engines
+from .engine import SearchEngine, XOntoRankEngine, build_engines
 from .explain import (KeywordEvidence, ONTOLOGICAL, OntologyHop,
                       ResultExplanation, TEXTUAL, explain_result)
 from .federated import (FederatedEngine, ShardScopedBuilder,
-                        merge_ranked, shard_store_path)
+                        merge_ranked, shard_store_path,
+                        shard_store_paths)
 from .graph_search import GraphResult, GraphSearchEngine
 from .naive import NaiveEvaluator
 from .pipeline import (DILFetchStage, MergeStage, ParseStage,
@@ -20,7 +21,7 @@ __all__ = [
     "KeywordEvidence", "MergeStage", "NaiveEvaluator", "ONTOLOGICAL",
     "OntologyHop", "ParseStage", "QueryContext", "QueryPipeline",
     "QueryResult", "QueryStage", "RankStage", "ResultExplanation",
-    "ShardScopedBuilder", "TEXTUAL", "XOntoRankEngine",
+    "SearchEngine", "ShardScopedBuilder", "TEXTUAL", "XOntoRankEngine",
     "build_engines", "explain_result", "merge_ranked", "rank_results",
-    "shard_store_path",
+    "shard_store_path", "shard_store_paths",
 ]

@@ -18,15 +18,21 @@ Typical use::
     results = engine.search('"bronchial structure" theophylline', k=5)
     fragment = engine.fragment(results[0])
 
-For shard-parallel search over a partitioned corpus with the same
-facade, see :class:`~repro.core.query.federated.FederatedEngine`.
+Both engines implement one protocol, :class:`SearchEngine`: this class
+is its one-shard *leaf*, and
+:class:`~repro.core.query.federated.FederatedEngine` is the *composite*
+over N >= 1 leaves (docs/ARCHITECTURE.md, "The engine protocol").
 """
 
 from __future__ import annotations
 
+import threading
+from typing import Callable, Iterable
+
 from ...ir.tokenizer import Keyword, KeywordQuery
 from ...ontology.api import TerminologyService
 from ...ontology.model import Ontology
+from ...storage.errors import StorageError
 from ...storage.interface import IndexStore
 from ...xmldoc.model import Corpus, XMLNode
 from ...xmldoc.serializer import serialize
@@ -48,18 +54,22 @@ from .pipeline import QueryPipeline
 from .results import QueryResult, SearchOutcome
 
 
-class XOntoRankEngine:
-    """Ontology-aware keyword search over one CDA corpus."""
+class SearchEngine:
+    """The engine protocol the CLI, the server and the experiments use.
 
-    def __init__(self, corpus: Corpus, ontology: Ontology | None = None,
-                 strategy: str = RELATIONSHIPS,
-                 config: XOntoRankConfig = DEFAULT_CONFIG,
-                 element_index: ElementIndex | None = None,
-                 seed_scorer: SeedScorer | None = None,
-                 tracer: Tracer | None = None,
-                 stats: StatsRegistry | None = None,
-                 builder: IndexBuilder | None = None) -> None:
-        if builder is None and strategy != XRANK and ontology is None:
+    Two implementations: :class:`XOntoRankEngine`, the one-shard leaf,
+    and :class:`~repro.core.query.federated.FederatedEngine`, the
+    composite over N >= 1 leaves. Each provides :attr:`shard_count` and
+    :meth:`search_outcome`; everything here is written once on top of
+    those and of the corpus-global builder both construct through
+    :meth:`_make_builder`.
+    """
+
+    def __init__(self, corpus: Corpus, ontology: Ontology | None,
+                 strategy: str, config: XOntoRankConfig,
+                 tracer: Tracer | None,
+                 stats: StatsRegistry | None) -> None:
+        if strategy != XRANK and ontology is None:
             raise ValueError(
                 f"strategy {strategy!r} needs an ontology; "
                 f"use strategy='xrank' for ontology-free search")
@@ -74,34 +84,27 @@ class XOntoRankEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None and tracer.registry is None:
             tracer.registry = self.stats
-        self.terminology = None
-        if builder is None:
-            builder = self._make_builder(element_index, seed_scorer)
-        self.element_index = builder.element_index
-        self.ontoscore = builder.ontoscore
-        self.ontoscore.tracer = self.tracer
-        self.index_manager = IndexManager(
-            corpus, builder, strategy, config, ontology=ontology,
-            stats=self.stats, tracer=self.tracer)
-        self.processor = DILQueryProcessor(decay=config.decay,
-                                           tracer=self.tracer,
-                                           stats=self.stats)
-        self.pipeline = QueryPipeline.default(
-            self.index_manager.dil_for, self.processor,
-            tracer=self.tracer)
-        self._naive_evaluator: NaiveEvaluator | None = None
+        self.terminology: TerminologyService | None = None
+        self._narrative_mapper = None
+        self._narrative_lock = threading.Lock()
 
     def _make_builder(self, element_index: ElementIndex | None,
                       seed_scorer: SeedScorer | None) -> IndexBuilder:
+        """The corpus-global scoring substrate (full-text statistics,
+        OntoScore computer, optional ElemRank weights). An injected
+        ``element_index`` (covering at least this corpus) pins the
+        statistics epoch externally, e.g. to compare incremental growth
+        against full rebuilds."""
         self.terminology = (TerminologyService([self.ontology])
                             if self.ontology is not None else None)
         resolver = (self.terminology.resolve
                     if self.terminology is not None else None)
         config = self.config
-        element_index = element_index or ElementIndex(
-            self.corpus, text_policy=config.text_policy,
-            concept_resolver=resolver, k1=config.bm25_k1,
-            b=config.bm25_b, ir_function=config.ir_function)
+        if element_index is None:
+            element_index = ElementIndex(
+                self.corpus, text_policy=config.text_policy,
+                concept_resolver=resolver, k1=config.bm25_k1,
+                b=config.bm25_b, ir_function=config.ir_function)
         ontoscore = make_ontoscore(self.strategy, self.ontology, config,
                                    seed_scorer=seed_scorer)
         node_weights = None
@@ -118,10 +121,11 @@ class XOntoRankEngine:
 
         Binds ``store`` to this engine's ontology fingerprint, strategy
         and expansion parameters (invalidating any mismatched cache
-        generation it holds) and attaches it to the strategy computer.
-        Returns the attached :class:`~repro.core.ontoscore.cache
-        .OntoScoreCache`, or ``None`` for the ontology-free XRANK
-        strategy, which has nothing to cache.
+        generation it holds) and attaches it to the strategy computer
+        -- the one every shard builds through. Returns the attached
+        :class:`~repro.core.ontoscore.cache.OntoScoreCache`, or
+        ``None`` for the ontology-free XRANK strategy, which has
+        nothing to cache.
         """
         if self.ontology is None or self.strategy == XRANK:
             return None
@@ -131,6 +135,123 @@ class XOntoRankEngine:
             expansion_params(self.config), stats=self.stats)
         self.ontoscore.attach_persistent_cache(cache)
         return cache
+
+    # ------------------------------------------------------------------
+    # Query phase
+    # ------------------------------------------------------------------
+    @property
+    def shard_count(self) -> int:
+        """How many shards answer a query (one breaker each when
+        served)."""
+        raise NotImplementedError
+
+    def search_outcome(self, query: str | KeywordQuery,
+                       k: int | None = None, *,
+                       deadline: "Deadline | None" = None,
+                       skip_shards: Iterable[int] = (),
+                       on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
+                       ) -> SearchOutcome:
+        """:meth:`search` plus serving-quality annotations.
+
+        ``k=None`` falls back to ``config.top_k``. With a ``deadline``,
+        expiry between per-document merges returns the best-so-far
+        prefix with ``partial=True``; expiry before any result could
+        exist raises :class:`~repro.core.deadline.DeadlineExceeded`.
+
+        ``skip_shards`` are not queried at all (their circuit breaker
+        is open); a shard raising a
+        :class:`~repro.storage.errors.StorageError` is offered to
+        ``on_shard_error(shard, error)`` -- returning True absorbs the
+        failure and serves without that shard, returning False (or
+        passing no handler) re-raises it. Every shard that contributed
+        nothing lands in the outcome's ``degraded_shards``.
+        """
+        raise NotImplementedError
+
+    def search(self, query: str | KeywordQuery, k: int | None = None,
+               *, deadline: "Deadline | None" = None,
+               ) -> list[QueryResult]:
+        """Top-k ontology-aware keyword search.
+
+        ``k=None`` falls back to ``config.top_k``; any given ``k`` runs
+        the bounded (document-skipping) merge mode, which returns the
+        byte-identical ranking of full evaluation plus truncation. A
+        ``deadline`` bounds the evaluation, and shard failures
+        propagate -- see :meth:`search_outcome` for the partial and
+        degraded modes the serving layer uses.
+        """
+        return self.search_outcome(query, k, deadline=deadline).results
+
+    def narrative_mapper(self):
+        """The engine's clinical-narrative mapper, built on first use.
+
+        The one mapper :meth:`enable_narrative` installs and the
+        serving layer applies per request (``narrative=1`` must not
+        mutate a warm engine, so it maps the query itself and runs the
+        resulting keywords). Raises ``ValueError`` when the engine has
+        no ontology to map against (bare XRANK).
+        """
+        with self._narrative_lock:
+            if self._narrative_mapper is None:
+                if self.terminology is None:
+                    if self.ontology is None:
+                        raise ValueError(
+                            "narrative mapping needs an ontology (or "
+                            "an explicit mapper built on a "
+                            "TerminologyService)")
+                    self.terminology = TerminologyService(
+                        [self.ontology])
+                from .narrative import NarrativeQueryMapper
+                self._narrative_mapper = NarrativeQueryMapper(
+                    self.terminology, tracer=self.tracer,
+                    stats=self.stats)
+            return self._narrative_mapper
+
+    # ------------------------------------------------------------------
+    # Database Access Module (needs only the global corpus)
+    # ------------------------------------------------------------------
+    def fragment(self, result: QueryResult) -> XMLNode:
+        """The XML fragment a result addresses (Figure 4)."""
+        return result.fragment(self.corpus)
+
+    def fragment_text(self, result: QueryResult,
+                      indent: str | None = "  ") -> str:
+        """Serialized form of the result fragment, for display."""
+        return serialize(self.fragment(result), indent=indent,
+                         xml_declaration=False)
+
+
+class XOntoRankEngine(SearchEngine):
+    """Ontology-aware keyword search over one CDA corpus: the
+    protocol's one-shard leaf."""
+
+    shard_count = 1
+
+    def __init__(self, corpus: Corpus, ontology: Ontology | None = None,
+                 strategy: str = RELATIONSHIPS,
+                 config: XOntoRankConfig = DEFAULT_CONFIG,
+                 element_index: ElementIndex | None = None,
+                 seed_scorer: SeedScorer | None = None,
+                 tracer: Tracer | None = None,
+                 stats: StatsRegistry | None = None,
+                 builder: IndexBuilder | None = None) -> None:
+        super().__init__(corpus, ontology, strategy, config, tracer,
+                         stats)
+        if builder is None:
+            builder = self._make_builder(element_index, seed_scorer)
+        self.element_index = builder.element_index
+        self.ontoscore = builder.ontoscore
+        self.ontoscore.tracer = self.tracer
+        self.index_manager = IndexManager(
+            corpus, builder, strategy, config, ontology=ontology,
+            stats=self.stats, tracer=self.tracer)
+        self.processor = DILQueryProcessor(decay=config.decay,
+                                           tracer=self.tracer,
+                                           stats=self.stats)
+        self.pipeline = QueryPipeline.default(
+            self.index_manager.dil_for, self.processor,
+            tracer=self.tracer)
+        self._naive_evaluator: NaiveEvaluator | None = None
 
     # ------------------------------------------------------------------
     # Backward-compatible views into the layered services
@@ -148,44 +269,34 @@ class XOntoRankEngine:
     # ------------------------------------------------------------------
     # Query phase
     # ------------------------------------------------------------------
-    def search(self, query: str | KeywordQuery, k: int | None = None,
-               *, deadline: "Deadline | None" = None,
-               ) -> list[QueryResult]:
-        """Top-k ontology-aware keyword search.
-
-        ``k=None`` falls back to ``config.top_k``; any given ``k`` runs
-        the bounded (document-skipping) merge mode, which returns the
-        byte-identical ranking of full evaluation plus truncation. A
-        ``deadline`` bounds the evaluation (see :meth:`search_outcome`
-        for the partial-results flag it may set).
-        """
-        return self.search_outcome(query, k, deadline=deadline).results
-
     def search_outcome(self, query: str | KeywordQuery,
                        k: int | None = None, *,
                        deadline: "Deadline | None" = None,
+                       skip_shards: Iterable[int] = (),
+                       on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
                        ) -> SearchOutcome:
-        """:meth:`search` plus serving-quality annotations.
-
-        With a ``deadline``, expiry between per-document merges returns
-        the best-so-far prefix with ``partial=True``; expiry before any
-        result could exist raises
-        :class:`~repro.core.deadline.DeadlineExceeded`. This is the
-        entry point the serving layer uses; ``degraded_shards`` is
-        always empty here (a single engine has no shards to shed).
-        """
-        with self.tracer.span("query.search",
-                              strategy=self.strategy) as span:
-            context = self.pipeline.run(
-                query, k=k if k is not None else self.config.top_k,
-                deadline=deadline)
-            span.annotate(keywords=len(context.dils),
-                          results=len(context.results))
-            if context.partial:
-                span.annotate(partial=True)
-            return SearchOutcome(
-                results=context.results, partial=context.partial,
-                narrative=context.extras.get("narrative"))
+        """See :meth:`SearchEngine.search_outcome`. The whole corpus is
+        shard 0: skipped or absorbed, the answer is the fast
+        degraded-empty outcome instead of a doomed attempt."""
+        if 0 in skip_shards:
+            return SearchOutcome(results=[], degraded_shards=(0,))
+        try:
+            with self.tracer.span("query.search",
+                                  strategy=self.strategy) as span:
+                context = self.pipeline.run(
+                    query, k=k if k is not None else self.config.top_k,
+                    deadline=deadline)
+                span.annotate(keywords=len(context.dils),
+                              results=len(context.results))
+                if context.partial:
+                    span.annotate(partial=True)
+                return SearchOutcome(
+                    results=context.results, partial=context.partial,
+                    narrative=context.extras.get("narrative"))
+        except StorageError as error:
+            if on_shard_error is not None and on_shard_error(0, error):
+                return SearchOutcome(results=[], degraded_shards=(0,))
+            raise
 
     def enable_narrative(self, mapper=None):
         """Insert the clinical-narrative mapping stage before ``parse``.
@@ -194,21 +305,14 @@ class XOntoRankEngine:
         mapped to concept keywords (see
         :mod:`repro.core.query.narrative`); pre-parsed
         :class:`KeywordQuery` objects still pass through untouched.
-        Returns the active mapper. Raises ``ValueError`` without an
-        ontology (or explicit ``mapper``) to map against, or when the
-        stage is already installed.
+        Returns the active mapper (:meth:`narrative_mapper` unless one
+        is given). Raises ``ValueError`` without an ontology (or
+        explicit ``mapper``) to map against, or when the stage is
+        already installed.
         """
-        from .narrative import NarrativeQueryMapper, NarrativeStage
+        from .narrative import NarrativeStage
         if mapper is None:
-            if self.terminology is None:
-                if self.ontology is None:
-                    raise ValueError(
-                        "narrative mapping needs an ontology (or an "
-                        "explicit mapper built on a TerminologyService)")
-                self.terminology = TerminologyService([self.ontology])
-            mapper = NarrativeQueryMapper(self.terminology,
-                                          tracer=self.tracer,
-                                          stats=self.stats)
+            mapper = self.narrative_mapper()
         self.pipeline.insert_before("parse", NarrativeStage(mapper))
         return mapper
 
@@ -248,16 +352,6 @@ class XOntoRankEngine:
     # ------------------------------------------------------------------
     # Database Access Module
     # ------------------------------------------------------------------
-    def fragment(self, result: QueryResult) -> XMLNode:
-        """The XML fragment a result addresses (Figure 4)."""
-        return result.fragment(self.corpus)
-
-    def fragment_text(self, result: QueryResult,
-                      indent: str | None = "  ") -> str:
-        """Serialized form of the result fragment, for display."""
-        return serialize(self.fragment(result), indent=indent,
-                         xml_declaration=False)
-
     def snippet(self, result: QueryResult,
                 query: str | KeywordQuery) -> XMLNode:
         """Compact result fragment: only the paths to the elements that

@@ -1,11 +1,14 @@
-"""Shard-parallel federated search with the engine's facade.
+"""Shard-parallel federated search: the engine protocol's composite.
 
 A :class:`FederatedEngine` partitions the corpus with a
 :class:`~repro.xmldoc.sharding.ShardedCorpus`, backs every shard with
-its own :class:`~repro.core.query.engine.XOntoRankEngine` (and, when
-persisted, its own index store + manifest), fans queries out across the
-shards -- sequentially or on a thread pool -- and k-way-merges the
-per-shard top-k into a global top-k.
+its own :class:`~repro.core.query.engine.XOntoRankEngine` leaf (and,
+when persisted, its own index store + manifest), fans queries out
+across the shards -- sequentially or on a thread pool -- and
+k-way-merges the per-shard top-k into a global top-k. One shard is the
+degenerate case, not a special one: the scope filters nothing, the
+merge of one ranking is that ranking, and the store is the plain path
+(:func:`shard_store_paths`).
 
 **The identity contract.** Federated results are byte-identical to a
 single engine over the same corpus, for every shard count and policy.
@@ -35,20 +38,18 @@ from ...ir.tokenizer import Keyword, KeywordQuery
 from ...ontology.model import Ontology
 from ...storage.errors import StorageError
 from ...storage.interface import IndexStore
-from ...xmldoc.model import Corpus, XMLNode
-from ...xmldoc.serializer import serialize
+from ...xmldoc.model import Corpus
 from ...xmldoc.sharding import HASH, ShardedCorpus
-from ..config import (DEFAULT_CONFIG, RELATIONSHIPS, XRANK,
-                      XOntoRankConfig)
+from ..config import DEFAULT_CONFIG, RELATIONSHIPS, XOntoRankConfig
 from ..deadline import Deadline, DeadlineExceeded
 from ..index.builder import IndexBuilder
 from ..index.dil import (DeweyInvertedList, KeywordBuildStats,
                          XOntoDILIndex, keyword_from_key)
-from ..obs.tracer import NULL_TRACER, Tracer
-from ..ontoscore.factory import make_ontoscore
+from ..index.vocabulary import default_vocabulary
+from ..obs.tracer import Tracer
 from ..scoring import ElementIndex
 from ..stats import CacheStats, StatsRegistry
-from .engine import XOntoRankEngine
+from .engine import SearchEngine, XOntoRankEngine
 from .results import QueryResult, SearchOutcome
 
 Shard = TypeVar("Shard")
@@ -58,6 +59,20 @@ Value = TypeVar("Value")
 def shard_store_path(path: str, shard: int, shard_count: int) -> str:
     """Canonical per-shard store path derived from the logical path."""
     return f"{path}.shard{shard:02d}-of-{shard_count:02d}"
+
+
+def shard_store_paths(path: str, shard_count: int) -> list[str]:
+    """Every shard's store path, in shard order.
+
+    One shard *is* the logical path: an unsharded store and a
+    federation of one are the same file, so stores written before the
+    engines were unified load, serve, append and compact unchanged.
+    This is the only rule anywhere that knows the count one.
+    """
+    if shard_count == 1:
+        return [path]
+    return [shard_store_path(path, shard, shard_count)
+            for shard in range(shard_count)]
 
 
 def merge_ranked(result_lists: Iterable[Sequence[QueryResult]],
@@ -129,9 +144,13 @@ class ShardScopedBuilder:
     def build_keyword(self, keyword: Keyword,
                       ) -> tuple[DeweyInvertedList, KeywordBuildStats]:
         dil, stats = self._builder.build_keyword(keyword)
-        scoped = DeweyInvertedList(
-            keyword, [posting for posting in dil
-                      if posting.dewey.doc_id in self._doc_ids])
+        postings = [posting for posting in dil
+                    if posting.dewey.doc_id in self._doc_ids]
+        if len(postings) == len(dil):
+            # The scope filtered nothing (always so for one shard):
+            # the builder's list and stats are already the answer.
+            return dil, stats
+        scoped = DeweyInvertedList(keyword, postings)
         return scoped, KeywordBuildStats(
             keyword=stats.keyword,
             creation_time_ms=stats.creation_time_ms,
@@ -139,19 +158,14 @@ class ShardScopedBuilder:
             size_bytes=scoped.size_bytes(),
             ontology_entries=stats.ontology_entries)
 
-    def build(self, vocabulary: Iterable[str],
-              strategy_name: str | None = None) -> XOntoDILIndex:
-        index = XOntoDILIndex(
-            strategy=strategy_name or self.ontoscore.name)
-        for word in sorted(set(vocabulary)):
-            keyword = Keyword.from_text(word)
-            dil, stats = self.build_keyword(keyword)
-            index.add(dil, stats)
-        return index
+    #: The builder's vocabulary loop, run over the scoped
+    #: :meth:`build_keyword`.
+    build = IndexBuilder.build
 
 
-class FederatedEngine:
-    """The :class:`XOntoRankEngine` facade over N corpus shards."""
+class FederatedEngine(SearchEngine):
+    """The engine protocol's composite: one query facade over N >= 1
+    :class:`XOntoRankEngine` shard leaves."""
 
     def __init__(self, corpus: Corpus, ontology: Ontology | None = None,
                  strategy: str = RELATIONSHIPS,
@@ -161,63 +175,29 @@ class FederatedEngine:
                  tracer: Tracer | None = None,
                  stats: StatsRegistry | None = None,
                  element_index: ElementIndex | None = None) -> None:
-        if strategy != XRANK and ontology is None:
-            raise ValueError(
-                f"strategy {strategy!r} needs an ontology; "
-                f"use strategy='xrank' for ontology-free search")
+        super().__init__(corpus, ontology, strategy, config, tracer,
+                         stats)
         if shard_workers is not None and shard_workers < 1:
             raise ValueError("shard_workers must be None or >= 1")
-        self.corpus = corpus
-        self.ontology = ontology
-        self.strategy = strategy
-        self.config = config
         self.shard_workers = shard_workers
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if tracer is not None and tracer.registry is None:
-            tracer.registry = self.stats
         self.sharded = ShardedCorpus(corpus, shards, policy=policy)
 
         # The corpus-global scoring substrate, built exactly once and
         # shared by every shard -- the reason federated scores equal
         # single-engine scores (BM25 statistics span the whole corpus).
-        # An injected ``element_index`` (covering at least this corpus)
-        # pins the statistics epoch externally, e.g. for differential
-        # tests comparing incremental growth against full rebuilds.
-        resolver = self._resolver()
-        if element_index is None:
-            element_index = ElementIndex(
-                corpus, text_policy=config.text_policy,
-                concept_resolver=resolver, k1=config.bm25_k1,
-                b=config.bm25_b, ir_function=config.ir_function)
-        ontoscore = make_ontoscore(strategy, ontology, config)
-        node_weights = None
-        if config.use_elemrank:
-            from ..elemrank import ElemRankComputer
-            node_weights = ElemRankComputer(corpus).normalized_weights()
-        self.builder = IndexBuilder(element_index, ontoscore,
-                                    node_weights=node_weights,
-                                    tracer=self.tracer)
-        self.element_index = element_index
-        self.ontoscore = ontoscore
+        self.builder = self._make_builder(element_index, None)
+        self.element_index = self.builder.element_index
+        self.ontoscore = self.builder.ontoscore
 
-        self.shard_engines: list[XOntoRankEngine] = []
-        for shard, shard_corpus in enumerate(self.sharded):
-            scoped = ShardScopedBuilder(
-                self.builder, self.sharded.shard_doc_ids(shard))
-            self.shard_engines.append(XOntoRankEngine(
+        self.shard_engines: list[XOntoRankEngine] = [
+            XOntoRankEngine(
                 shard_corpus, ontology, strategy=strategy,
                 config=config, tracer=tracer, stats=self.stats,
-                builder=scoped))
-        self._narrative_mapper = None
-
-    def _resolver(self):
-        self.terminology = None
-        if self.ontology is None:
-            return None
-        from ...ontology.api import TerminologyService
-        self.terminology = TerminologyService([self.ontology])
-        return self.terminology.resolve
+                builder=ShardScopedBuilder(
+                    self.builder, self.sharded.shard_doc_ids(shard)))
+            for shard, shard_corpus in enumerate(self.sharded)]
+        #: The mapper applied once before the fan-out; ``None`` = off.
+        self._fan_out_mapper = None
 
     # ------------------------------------------------------------------
     @property
@@ -229,24 +209,18 @@ class FederatedEngine:
         concept keywords *once*, before the shard fan-out (each shard
         then receives the same pre-parsed :class:`KeywordQuery`, so the
         federated identity contract applies to the mapped query).
-        Returns the active mapper; raises ``ValueError`` without an
-        ontology to map against.
+        Returns the active mapper (:meth:`narrative_mapper` unless one
+        is given); raises ``ValueError`` without an ontology to map
+        against.
         """
         if mapper is None:
-            if self.terminology is None:
-                raise ValueError(
-                    "narrative mapping needs an ontology (or an "
-                    "explicit mapper built on a TerminologyService)")
-            from .narrative import NarrativeQueryMapper
-            mapper = NarrativeQueryMapper(self.terminology,
-                                          tracer=self.tracer,
-                                          stats=self.stats)
-        self._narrative_mapper = mapper
+            mapper = self.narrative_mapper()
+        self._fan_out_mapper = mapper
         return mapper
 
     def disable_narrative(self) -> None:
         """String queries parse as curated keywords again."""
-        self._narrative_mapper = None
+        self._fan_out_mapper = None
 
     def _fan_out(self, task: Callable[[XOntoRankEngine, int], Value],
                  ) -> list[Value]:
@@ -266,44 +240,23 @@ class FederatedEngine:
     # ------------------------------------------------------------------
     # Query phase
     # ------------------------------------------------------------------
-    def search(self, query: str | KeywordQuery, k: int | None = None,
-               *, deadline: Deadline | None = None,
-               ) -> list[QueryResult]:
-        """Global top-k: per-shard top-k, k-way merged.
-
-        Any global top-k result is in its shard's top-k, so merging
-        the per-shard prefixes loses nothing. Each shard runs the
-        bounded (document-skipping) merge locally; the global
-        truncation of the k-way merge is traced as
-        ``query.topk_pruned``. Shard failures propagate -- for the
-        degraded mode the serving layer uses, see
-        :meth:`search_outcome`.
-        """
-        return self.search_outcome(query, k, deadline=deadline).results
-
-    #: Per-shard sentinel outcomes of the resilient fan-out.
-    _SHARD_SKIPPED = "skipped"
-    _SHARD_FAILED = "failed"
-    _SHARD_TIMED_OUT = "timed_out"
-
     def search_outcome(self, query: str | KeywordQuery,
                        k: int | None = None, *,
                        deadline: Deadline | None = None,
                        skip_shards: Iterable[int] = (),
                        on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
                        ) -> SearchOutcome:
-        """:meth:`search` with per-shard degradation for the server.
+        """Global top-k: per-shard top-k, k-way merged (see
+        :meth:`SearchEngine.search_outcome` for the parameters).
 
-        ``skip_shards`` are not queried at all (their circuit breaker
-        is open); a shard raising a
-        :class:`~repro.storage.errors.StorageError` is offered to
-        ``on_shard_error(shard, error)`` -- returning True absorbs the
-        failure and serves without that shard, returning False (or
-        passing no handler) re-raises it. Every shard that contributed
-        nothing lands in the outcome's ``degraded_shards``; a degraded
-        answer is exact *over the shards that answered* but may miss
-        results whose documents live in a degraded shard -- the
-        identity contract holds only for exact outcomes.
+        Any global top-k result is in its shard's top-k, so merging
+        the per-shard prefixes loses nothing. Each shard runs the
+        bounded (document-skipping) merge locally; the global
+        truncation of the k-way merge is traced as
+        ``query.topk_pruned``. A degraded answer is exact *over the
+        shards that answered* but may miss results whose documents
+        live in a degraded shard -- the identity contract holds only
+        for exact outcomes.
 
         A shard whose deadline expires before it produced anything is
         treated as degraded-by-timeout with ``partial=True``; if every
@@ -317,41 +270,42 @@ class FederatedEngine:
                               strategy=self.strategy,
                               shards=self.shard_count) as span:
             narrative = None
-            if self._narrative_mapper is not None \
+            if self._fan_out_mapper is not None \
                     and isinstance(query, str):
-                narrative = self._narrative_mapper.map(query)
+                narrative = self._fan_out_mapper.map(query)
                 query = narrative.query
             parsed = (KeywordQuery.parse(query)
                       if isinstance(query, str) else query)
 
+            timed_out: list[int] = []
+
             def shard_search(engine: XOntoRankEngine, shard: int):
+                """The shard's outcome, or None when it contributed
+                nothing (skipped, timed out, or failure absorbed)."""
                 if shard in skip:
-                    return self._SHARD_SKIPPED
+                    return None
                 try:
                     return engine.search_outcome(parsed, k=k,
                                                  deadline=deadline)
                 except DeadlineExceeded:
-                    return self._SHARD_TIMED_OUT
+                    timed_out.append(shard)
                 except StorageError as error:
-                    if on_shard_error is not None \
-                            and on_shard_error(shard, error):
-                        return self._SHARD_FAILED
-                    raise
+                    if on_shard_error is None \
+                            or not on_shard_error(shard, error):
+                        raise
+                return None
 
             per_shard = self._fan_out(shard_search)
             outcomes = [outcome for outcome in per_shard
-                        if isinstance(outcome, SearchOutcome)]
+                        if outcome is not None]
             degraded = tuple(
                 shard for shard, outcome in enumerate(per_shard)
-                if not isinstance(outcome, SearchOutcome))
-            timed_out = sum(
-                1 for outcome in per_shard
-                if outcome == self._SHARD_TIMED_OUT)
+                if outcome is None)
             if timed_out and not outcomes:
                 raise DeadlineExceeded(
-                    f"deadline exceeded in all {timed_out} live "
+                    f"deadline exceeded in all {len(timed_out)} live "
                     f"shard(s) before any result was produced")
-            partial = (timed_out > 0
+            partial = (bool(timed_out)
                        or any(outcome.partial for outcome in outcomes))
             with self.tracer.span("query.topk_pruned",
                                   shards=self.shard_count) as prune:
@@ -383,27 +337,16 @@ class FederatedEngine:
         return self.shard_engines[shard].explain(result, query)
 
     def cache_stats(self) -> CacheStats:
-        """DIL-cache counters aggregated across every shard."""
+        """DIL-cache counters aggregated across every shard (each
+        shard holds its own cache, so capacities add up too)."""
         parts = [engine.cache_stats() for engine in self.shard_engines]
+        capacities = [part.capacity for part in parts]
         return CacheStats(
             hits=sum(part.hits for part in parts),
             misses=sum(part.misses for part in parts),
             evictions=sum(part.evictions for part in parts),
             size=sum(part.size for part in parts),
-            capacity=self.config.dil_cache_capacity)
-
-    # ------------------------------------------------------------------
-    # Database Access Module (global corpus -- no shard hop needed)
-    # ------------------------------------------------------------------
-    def fragment(self, result: QueryResult) -> XMLNode:
-        """The XML fragment a result addresses (Figure 4)."""
-        return result.fragment(self.corpus)
-
-    def fragment_text(self, result: QueryResult,
-                      indent: str | None = "  ") -> str:
-        """Serialized form of the result fragment, for display."""
-        return serialize(self.fragment(result), indent=indent,
-                         xml_declaration=False)
+            capacity=None if None in capacities else sum(capacities))
 
     # ------------------------------------------------------------------
     # Pre-processing phase
@@ -421,20 +364,12 @@ class FederatedEngine:
         keyword set; the union of the shard-scoped posting lists equals
         the single-engine index.
         """
-        if stores is not None and len(stores) != self.shard_count:
-            raise ValueError(
-                f"need one store per shard: got {len(stores)} stores "
-                f"for {self.shard_count} shards")
+        if stores is not None:
+            self._check_shard_stores(stores)
         if vocabulary is None:
-            if self.strategy == XRANK or self.ontology is None:
-                from ..index.vocabulary import corpus_vocabulary
-                vocabulary = corpus_vocabulary(
-                    self.corpus, self.config.text_policy)
-            else:
-                from ..index.vocabulary import experiment_vocabulary
-                vocabulary = experiment_vocabulary(
-                    self.corpus, self.ontology, radius=radius,
-                    text_policy=self.config.text_policy)
+            vocabulary = default_vocabulary(
+                self.corpus, self.ontology, self.strategy, radius,
+                self.config.text_policy)
         with self.tracer.span("index.federated_build",
                               shards=self.shard_count,
                               keywords=len(vocabulary)):
@@ -448,7 +383,10 @@ class FederatedEngine:
     def _combine(self,
                  shard_indices: Sequence[XOntoDILIndex],
                  ) -> XOntoDILIndex:
-        """Union of shard indices: the single-engine index, re-formed."""
+        """Union of shard indices: the single-engine index, re-formed
+        (the union of one shard index is that index)."""
+        if len(shard_indices) == 1:
+            return shard_indices[0]
         combined = XOntoDILIndex(strategy=self.strategy)
         keys = sorted({key for index in shard_indices
                        for key in index.lists})
@@ -491,10 +429,7 @@ class FederatedEngine:
         """Warm every shard's cache from its store; returns the total
         list count. Validation and degraded rebuilds apply per shard
         (one damaged shard store does not poison the others)."""
-        if len(stores) != self.shard_count:
-            raise ValueError(
-                f"need one store per shard: got {len(stores)} stores "
-                f"for {self.shard_count} shards")
+        self._check_shard_stores(stores)
         loaded = self._fan_out(
             lambda engine, shard: engine.load_index(
                 stores[shard], validate=validate, fallback=fallback))

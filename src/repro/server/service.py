@@ -8,8 +8,9 @@ raw shard failures into the serving policy the HTTP layer exposes:
   reaches layers that never see the request -- a
   :class:`~repro.storage.retrying.RetryingStore` stops backing off
   when the *request* is out of time, not just its own budget;
-* each shard (a single engine counts as one shard) is guarded by a
-  :class:`~repro.server.breaker.CircuitBreaker`; open breakers are
+* each shard of the engine (``engine.shard_count``; a bare
+  :class:`~repro.core.query.engine.XOntoRankEngine` is one) is guarded
+  by a :class:`~repro.server.breaker.CircuitBreaker`; open breakers are
   skipped before any store access, shard ``StorageError`` failures are
   absorbed into a degraded-but-successful
   :class:`~repro.core.query.results.SearchOutcome` and charged to the
@@ -32,8 +33,7 @@ from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..core.deadline import Deadline, deadline_scope
-from ..core.query.engine import XOntoRankEngine
-from ..core.query.federated import FederatedEngine
+from ..core.query.engine import SearchEngine
 from ..core.query.results import SearchOutcome
 from ..core.stats import (SERVER_DEGRADED_RESPONSES,
                           SERVER_PARTIAL_RESPONSES, StatsRegistry)
@@ -48,14 +48,11 @@ class UnknownCorpusError(KeyError):
 class CorpusHandle:
     """One served corpus: its warm engine plus per-shard breakers."""
 
-    def __init__(self, name: str,
-                 engine: "XOntoRankEngine | FederatedEngine",
+    def __init__(self, name: str, engine: SearchEngine,
                  breakers: list[CircuitBreaker]) -> None:
         self.name = name
         self.engine = engine
         self.breakers = breakers
-        self._narrative_mapper = None
-        self._narrative_lock = threading.Lock()
 
     @property
     def shard_count(self) -> int:
@@ -65,25 +62,8 @@ class CorpusHandle:
         return [breaker.state for breaker in self.breakers]
 
     def narrative_mapper(self):
-        """The corpus's narrative mapper, built lazily on first use.
-
-        Per-request opt-in (``narrative=1``) must not mutate the warm
-        engine's pipeline -- a globally inserted stage would remap
-        every concurrent curated query -- so the mapper lives here and
-        the service applies it per request. Raises ``ValueError`` when
-        the engine has no terminology to map against (XRANK corpora).
-        """
-        with self._narrative_lock:
-            if self._narrative_mapper is None:
-                terminology = getattr(self.engine, "terminology", None)
-                if terminology is None:
-                    raise ValueError(
-                        f"corpus {self.name!r} has no ontology; "
-                        f"narrative mapping is unavailable")
-                from ..core.query.narrative import NarrativeQueryMapper
-                self._narrative_mapper = NarrativeQueryMapper(
-                    terminology, stats=self.engine.stats)
-            return self._narrative_mapper
+        """The engine's mapper (kept for callers that instrument it)."""
+        return self.engine.narrative_mapper()
 
 
 class SearchService:
@@ -103,17 +83,14 @@ class SearchService:
     # ------------------------------------------------------------------
     # Corpus registry
     # ------------------------------------------------------------------
-    def add_corpus(self, name: str,
-                   engine: "XOntoRankEngine | FederatedEngine",
+    def add_corpus(self, name: str, engine: SearchEngine,
                    ) -> CorpusHandle:
         """Register a warm engine under ``name`` (one breaker per
-        shard; a plain engine is one shard)."""
-        shards = (engine.shard_count
-                  if isinstance(engine, FederatedEngine) else 1)
+        shard)."""
         breakers = [CircuitBreaker(self._breaker_threshold,
                                    self._breaker_cooldown,
                                    clock=self._clock, stats=self.stats)
-                    for _ in range(shards)]
+                    for _ in range(engine.shard_count)]
         handle = CorpusHandle(name, engine, breakers)
         with self._lock:
             if name in self._corpora:
@@ -141,43 +118,30 @@ class SearchService:
                 narrative: bool = False) -> SearchOutcome:
         """One breaker-guarded, deadline-scoped search.
 
-        ``narrative=True`` maps the query string through the corpus's
+        ``narrative=True`` maps the query string through the engine's
         clinical-narrative mapper first and annotates the outcome with
         the mapping provenance; the mapping happens once, before
         execution, so coalesced followers and shard fan-outs all see
-        the same keywords. With ``narrative=False`` (the default) the
-        path is byte-identical to before the mapper existed.
+        the same keywords, and per request, so the warm engine is never
+        mutated. With ``narrative=False`` (the default) the path is
+        byte-identical to before the mapper existed.
+
+        Open breakers are skipped before any store access; a shard's
+        ``StorageError`` is absorbed (served around) and charged to
+        its breaker; every shard that answered records a success.
 
         Returns the (possibly degraded/partial) outcome; raises
-        :class:`UnknownCorpusError` for an unregistered corpus and
-        :class:`~repro.core.deadline.DeadlineExceeded` when the budget
-        expired before anything could be served. StorageErrors never
-        escape -- they become degraded shards.
+        :class:`UnknownCorpusError` for an unregistered corpus,
+        ``ValueError`` for ``narrative=True`` on a corpus without an
+        ontology, and :class:`~repro.core.deadline.DeadlineExceeded`
+        when the budget expired before anything could be served.
+        StorageErrors never escape -- they become degraded shards.
         """
         handle = self.corpus(corpus)
         mapping = None
         if narrative and isinstance(query, str):
-            mapping = handle.narrative_mapper().map(query)
+            mapping = handle.engine.narrative_mapper().map(query)
             query = mapping.query
-        with deadline_scope(deadline):
-            if isinstance(handle.engine, FederatedEngine):
-                outcome = self._execute_federated(handle, query, k,
-                                                  deadline)
-            else:
-                outcome = self._execute_single(handle, query, k,
-                                               deadline)
-        if outcome.degraded_shards:
-            self.stats.increment(SERVER_DEGRADED_RESPONSES)
-        if outcome.partial:
-            self.stats.increment(SERVER_PARTIAL_RESPONSES)
-        if mapping is not None:
-            outcome = replace(outcome, narrative=mapping)
-        return outcome
-
-    def _execute_federated(self, handle: CorpusHandle, query,
-                           k: int | None,
-                           deadline: Deadline | None) -> SearchOutcome:
-        engine = handle.engine
         skip = frozenset(
             shard for shard, breaker in enumerate(handle.breakers)
             if not breaker.allow())
@@ -185,33 +149,22 @@ class SearchService:
         failed_lock = threading.Lock()
 
         def on_shard_error(shard: int, error: StorageError) -> bool:
-            # Absorb: the shard is served around, the breaker charged.
             with failed_lock:
                 failed.add(shard)
             handle.breakers[shard].record_failure()
             return True
 
-        outcome = engine.search_outcome(query, k, deadline=deadline,
-                                        skip_shards=skip,
-                                        on_shard_error=on_shard_error)
+        with deadline_scope(deadline):
+            outcome = handle.engine.search_outcome(
+                query, k, deadline=deadline, skip_shards=skip,
+                on_shard_error=on_shard_error)
         for shard, breaker in enumerate(handle.breakers):
             if shard not in skip and shard not in failed:
                 breaker.record_success()
-        return outcome
-
-    def _execute_single(self, handle: CorpusHandle, query,
-                        k: int | None,
-                        deadline: Deadline | None) -> SearchOutcome:
-        breaker = handle.breakers[0]
-        if not breaker.allow():
-            # The whole corpus is one "shard": open breaker means a
-            # fast degraded-empty answer instead of a doomed attempt.
-            return SearchOutcome(results=[], degraded_shards=(0,))
-        try:
-            outcome = handle.engine.search_outcome(query, k=k,
-                                                   deadline=deadline)
-        except StorageError:
-            breaker.record_failure()
-            return SearchOutcome(results=[], degraded_shards=(0,))
-        breaker.record_success()
+        if outcome.degraded_shards:
+            self.stats.increment(SERVER_DEGRADED_RESPONSES)
+        if outcome.partial:
+            self.stats.increment(SERVER_PARTIAL_RESPONSES)
+        if mapping is not None:
+            outcome = replace(outcome, narrative=mapping)
         return outcome

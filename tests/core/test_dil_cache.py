@@ -280,3 +280,25 @@ class TestEngineIntegration:
             thread.join()
         assert not errors
         assert len(engine.dil_cache) <= 4
+
+    @pytest.mark.parametrize("capacity", [3, None])
+    def test_federated_capacity_sums_over_shards(self, cda_corpus,
+                                                 synthetic_ontology,
+                                                 capacity):
+        """Every shard holds its own cache, so the aggregate reported
+        one shard's capacity next to the summed size (``size=6
+        capacity=3``); sizes and capacities must add up together."""
+        from repro.core.query.federated import FederatedEngine
+        engine = FederatedEngine(
+            cda_corpus, synthetic_ontology, shards=2,
+            config=XOntoRankConfig(dil_cache_capacity=capacity))
+        for word in ("asthma", "amiodarone", "aspirin", "arrest",
+                     "fever"):
+            engine.search(word, k=3)
+        stats = engine.cache_stats()
+        if capacity is None:
+            assert stats.capacity is None
+        else:
+            assert stats.capacity == 2 * capacity
+            assert stats.size <= stats.capacity
+            assert stats.size > capacity

@@ -21,14 +21,18 @@ SLOW_DELAY = 0.3
 
 class SlowEngine:
     """A stub corpus whose queries take a fixed wall-clock time --
-    the deterministic prop for shed/coalesce/deadline tests."""
+    the deterministic prop for shed/coalesce/deadline tests. It speaks
+    the part of the engine protocol the service calls."""
+
+    shard_count = 1
 
     def __init__(self, delay: float = SLOW_DELAY) -> None:
         self.delay = delay
         self.calls = 0
         self._lock = threading.Lock()
 
-    def search_outcome(self, query, k=None, *, deadline=None):
+    def search_outcome(self, query, k=None, *, deadline=None,
+                       skip_shards=(), on_shard_error=None):
         with self._lock:
             self.calls += 1
         time.sleep(self.delay)

@@ -198,12 +198,12 @@ class TestChaosAcceptance:
         # yield degraded-empty answers, not exceptions.
         from repro.core.query.engine import XOntoRankEngine
 
-        class ExplodingEngine(XOntoRankEngine):
-            def search_outcome(self, query, k=None, *, deadline=None):
-                raise TransientStorageError("store down")
+        def exploding_run(*args, **kwargs):
+            raise TransientStorageError("store down")
 
         stats = StatsRegistry()
-        engine = ExplodingEngine(cda_corpus, None, strategy=XRANK)
+        engine = XOntoRankEngine(cda_corpus, None, strategy=XRANK)
+        engine.pipeline.run = exploding_run
         service = SearchService(stats=stats, breaker_threshold=2,
                                 breaker_cooldown=5.0,
                                 clock=ManualClock())

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import pathlib
+import shlex
 
 import pytest
 
@@ -302,11 +304,34 @@ class TestSharded:
         assert code in (0, 1)
         assert captured.out.strip()
 
-    def test_rejects_non_positive_shards(self, data_dir, capsys):
-        with pytest.raises(SystemExit):
-            main(["search", "--data", data_dir, "--shards", "0",
-                  "fever"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["search", "--data", "D", "fever", "--shards", "0"],
+        ["search", "--data", "D", "fever", "--shards", "2",
+         "--shard-workers", "0"],
+        ["search", "--data", "D", "fever", "--cache-size", "-1"],
+        ["index", "--data", "D", "--store", "S", "--shards", "-3"],
+        ["serve", "--data", "D", "--shard-workers", "-1"],
+        ["serve", "--data", "D", "--cache-size", "-1"],
+        ["compact", "--store", "S", "--shards", "0"],
+        ["compact", "--store", "S", "--shards", "-3"],
+    ])
+    def test_bad_counts_are_usage_errors(self, argv, capsys):
+        """These used to be tracebacks (--shard-workers 0,
+        --cache-size -1) or a silent fall-back to the unsharded path
+        with a misleading "no index store" (compact --shards 0)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert "usage:" in message
+        assert "integer" in message
+
+    def test_cache_size_zero_still_disables_the_cache(self, data_dir,
+                                                      capsys):
+        code = main(["search", "--data", data_dir, "fever", "-k", "2",
+                     "--cache-size", "0"])
+        assert code in (0, 1)
+        assert "size=0 capacity=0" in capsys.readouterr().out
 
 
 class TestStatsAndParameters:
@@ -541,3 +566,42 @@ class TestServeCorpusFlag:
                      "--corpus", f"default={data_dir}"])
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+
+class TestDefaultShardsCompatibility:
+    """Every command now runs the federated engine; at the default
+    ``--shards 1`` nothing an operator sees may move."""
+
+    #: Stdout of commit 5b016f2 (before the engines were unified) for
+    #: each ``$ repro ...`` line, run in one directory in order.
+    GOLDEN = pathlib.Path(__file__).parent / "golden" \
+        / "cli_default_shards.txt"
+
+    def test_stdout_matches_the_unsharded_cli_line_for_line(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        steps = self.GOLDEN.read_text(encoding="utf-8").split("$ repro ")
+        assert len(steps) > 8 and not steps[0]
+        for step in steps[1:]:
+            command, _, expected = step.partition("\n")
+            code = main(shlex.split(command))
+            actual = f"{capsys.readouterr().out}[exit {code}]\n"
+            assert actual.splitlines() == expected.splitlines(), command
+        # One shard is the plain --store path: no shard-suffixed file.
+        assert sorted(os.listdir(tmp_path)) == ["data", "idx.db"]
+
+    def test_ontology_cache_works_at_every_shard_count(self, data_dir,
+                                                       tmp_path, capsys):
+        """It used to be ignored (with a note) when --shards > 1."""
+        cache = str(tmp_path / "cache.db")
+        for run in ("cold", "warm"):
+            assert main(["index", "--data", data_dir, "--store",
+                         str(tmp_path / f"{run}.db"), "--shards", "2",
+                         "--ontology-cache", cache]) == 0
+            captured = capsys.readouterr()
+            assert "ignored" not in captured.err
+            line = next(line for line in captured.out.splitlines()
+                        if line.startswith("ontology-cache:"))
+            hits = int(line.split("hits=")[1].split()[0])
+            assert (hits == 0) == (run == "cold"), line
+        assert "misses=0" in line
