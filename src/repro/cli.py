@@ -53,15 +53,14 @@ Four subcommands mirror the system's phases::
         [--strategy relationships] [--top-k 10] [--explain] [--cache-size N]
         [--retries N] [--strict | --no-fallback] [--verbose]
         [--profile] [--metrics-out F.jsonl] [--trace-out F.json]
-        Query phase: run a keyword query, print ranked fragments; with
-        --store, posting lists are loaded instead of rebuilt. The store
-        must exist, is opened read-only, its manifest is validated
-        (strategy/decay/threshold/t/corpus fingerprint), and transient
-        faults are retried. By default the engine *degrades* on storage
-        failure -- a bad posting list (or a whole invalid store) is
-        rebuilt from the corpus with a warning; --strict/--no-fallback
-        fail fast instead. Prints DIL-cache counters after the query;
-        --verbose adds retry/fallback/integrity counters.
+        Query phase: run a keyword query, print ranked fragments. With
+        --store the query's posting lists are read through the
+        persisted index instead of rebuilt, exactly as ``serve`` reads
+        them; validation, retries, degradation and what --strict
+        (= --no-fallback) covers are specified once, in
+        docs/STORAGE.md "Reading a persisted store". Prints DIL-cache
+        counters after the query; --verbose adds
+        retry/fallback/integrity counters.
 
     python -m repro verify-index --store FILE.db
         Check a persisted index's integrity end to end: a
@@ -114,9 +113,8 @@ from .core.config import (ALL_STRATEGIES, RELATIONSHIPS,
                           XOntoRankConfig)
 from .core.obs import (Tracer, render_profile, write_chrome_trace,
                        write_metrics_jsonl)
-from .core.query.engine import (SearchEngine, XOntoRankEngine,
-                                build_engines)
-from .core.stats import (ONTOLOGY_CACHE_HITS,
+from .core.query.engine import SearchEngine, build_engines
+from .core.stats import (FALLBACK_STORE_DISCARDS, ONTOLOGY_CACHE_HITS,
                          ONTOLOGY_CACHE_INVALIDATIONS,
                          ONTOLOGY_CACHE_MISSES, StatsRegistry)
 from .core.query.federated import FederatedEngine, shard_store_paths
@@ -258,6 +256,55 @@ def _open_read_store(path: str, args: argparse.Namespace,
         return RetryingStore(store, max_attempts=args.retries + 1,
                              stats=engine.stats, tracer=engine.tracer)
     return store
+
+
+def _attach_stores(args: argparse.Namespace, engine: FederatedEngine,
+                   stack: contextlib.ExitStack, *, degrade: bool,
+                   warm: bool) -> int:
+    """The one way ``--store`` is queried (docs/STORAGE.md, "Reading
+    a persisted store"): every shard's store is opened read-only,
+    validated once, attached as its leaf's DIL-cache-miss source and
+    kept open on ``stack``; ``warm`` (``serve`` without --no-warm) then
+    pre-loads every posting list. ``degrade`` is the callers' only
+    difference. True (``search``): an unusable store is discarded with
+    a warning and an unreadable posting list is rebuilt from the
+    corpus. False (``search --strict``, ``serve``): the first is fatal
+    and the second propagates -- to exit 2, or to the server's circuit
+    breakers. Returns an exit code: 0, or 2 after printing the error.
+    """
+    paths, _, build = _store_layout(args)
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        print(f"error: no index store at {', '.join(missing)} -- "
+              f"build one with `{build}`", file=sys.stderr)
+        return 2
+    on_error = (lambda failure: True) if degrade else None
+    loaded = 0
+    for leaf, path in zip(engine.shard_engines, paths):
+        try:
+            reader = stack.enter_context(
+                _open_read_store(path, args, engine))
+            leaf.attach_read_store(reader, on_error=on_error)
+            if warm:
+                loaded += leaf.load_index(reader, validate=False)
+        except StorageError as exc:
+            if not degrade:
+                return _unusable_store(path, exc)
+            engine.stats.increment(FALLBACK_STORE_DISCARDS)
+            print(f"warning: ignoring index store {path} ({exc}); "
+                  f"building posting lists from the corpus",
+                  file=sys.stderr)
+        else:
+            print(f"reading index store {path}")
+    if warm:
+        print(f"warmed {loaded} posting lists from {args.store}")
+    return 0
+
+
+def _unusable_store(path: str, exc: StorageError) -> int:
+    print(f"error: cannot use index store {path}: {exc}",
+          file=sys.stderr)
+    return 2
 
 
 # ----------------------------------------------------------------------
@@ -468,56 +515,25 @@ def command_compact(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _load_store_or_degrade(leaf: XOntoRankEngine, path: str,
-                           args: argparse.Namespace,
-                           build: str) -> int:
-    """Load one shard's persisted index per the chosen policy.
-
-    Returns an exit code: 0 on success (including degraded operation),
-    2 on a fail-fast error. Fail-fast is chosen by --strict or
-    --no-fallback; the default degrades -- a store that is missing a
-    posting list falls back per keyword, a store that fails validation
-    outright is discarded with a warning and the shard serves from
-    the corpus. Running once per shard, a damaged shard store degrades
-    only that shard.
-    """
-    fail_fast = args.strict or args.no_fallback
-    if not os.path.exists(path):
-        print(f"error: no index store at {path} -- build one "
-              f"with `{build}`", file=sys.stderr)
-        return 2
-    reader = None
-    try:
-        reader = _open_read_store(path, args, leaf)
-        loaded = leaf.load_index(reader, fallback=not fail_fast)
-        print(f"loaded {loaded} posting lists from {path}")
-        return 0
-    except StorageError as exc:
-        from .core.stats import FALLBACK_STORE_DISCARDS
-        if fail_fast:
-            print(f"error: cannot use index store {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        leaf.stats.increment(FALLBACK_STORE_DISCARDS)
-        print(f"warning: ignoring index store {path} ({exc}); "
-              f"building posting lists from the corpus",
-              file=sys.stderr)
-        return 0
-    finally:
-        if reader is not None:
-            reader.close()
-
-
 def command_search(args: argparse.Namespace) -> int:
     ontology, corpus = _load_data_directory(args.data)
     tracer = _tracer_from(args)
     engine = _make_engine(args, corpus, ontology, tracer)
-    if args.store:
-        paths, _, build = _store_layout(args)
-        for leaf, path in zip(engine.shard_engines, paths):
-            code = _load_store_or_degrade(leaf, path, args, build)
+    with contextlib.ExitStack() as stack:
+        if args.store:
+            code = _attach_stores(args, engine, stack,
+                                  degrade=not args.strict, warm=False)
             if code != 0:
                 return code
+        try:
+            return _search_and_print(args, engine, tracer)
+        except StorageError as exc:
+            # Only the strict policy lets a store fault out of a query.
+            return _unusable_store(args.store, exc)
+
+
+def _search_and_print(args: argparse.Namespace, engine: FederatedEngine,
+                      tracer: Tracer | None) -> int:
     if args.narrative:
         try:
             engine.enable_narrative()
@@ -562,32 +578,6 @@ def command_search(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _serving_stores(args: argparse.Namespace,
-                    engine: FederatedEngine) -> int:
-    """Open --store read-only and put the engine in read-through mode
-    (cache misses served from the store, strict per shard so the
-    server's circuit breakers see real faults); optionally pre-warm.
-    The stores stay open for the process lifetime."""
-    paths, _, build = _store_layout(args)
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        print(f"error: no index store at {', '.join(missing)} -- "
-              f"build one with `{build}`", file=sys.stderr)
-        return 2
-    try:
-        readers = [_open_read_store(path, args, engine)
-                   for path in paths]
-        engine.attach_read_stores(readers)
-        if not args.no_warm:
-            loaded = engine.load_index(readers)
-            print(f"warmed {loaded} posting lists from {args.store}")
-    except StorageError as exc:
-        print(f"error: cannot serve index store {args.store}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
 def command_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the always-on HTTP search service
     (see docs/SERVING.md)."""
@@ -596,60 +586,63 @@ def command_serve(args: argparse.Namespace) -> int:
     from .server import SearchService, ServerApp, ServerConfig
     ontology, corpus = _load_data_directory(args.data)
     engine = _make_engine(args, corpus, ontology, None)
-    if args.store:
-        code = _serving_stores(args, engine)
-        if code != 0:
-            return code
-    # Additional corpora: each --corpus NAME=PATH loads its own data
-    # directory into its own engine (same strategy and tuning flags)
-    # and registers under NAME next to the primary --data corpus.
-    extra_corpora: list[tuple[str, str]] = []
-    seen_names = {args.corpus_name}
-    for spec in args.corpus or ():
-        name, separator, path = spec.partition("=")
-        if not separator or not name or not path:
-            print(f"error: --corpus expects NAME=PATH, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        if name in seen_names:
-            print(f"error: duplicate corpus name {name!r}",
-                  file=sys.stderr)
-            return 2
-        seen_names.add(name)
-        extra_corpora.append((name, path))
-    service = SearchService(stats=engine.stats,
-                            breaker_threshold=args.breaker_threshold,
-                            breaker_cooldown=args.breaker_cooldown)
-    service.add_corpus(args.corpus_name, engine)
-    corpus_sizes = {args.corpus_name: len(corpus)}
-    for name, path in extra_corpora:
-        extra_ontology, extra_corpus = _load_data_directory(path)
-        extra_engine = _make_engine(args, extra_corpus, extra_ontology,
-                                    None)
-        service.add_corpus(name, extra_engine)
-        corpus_sizes[name] = len(extra_corpus)
-    app = ServerApp(service, ServerConfig(
-        host=args.host, port=args.port,
-        max_concurrency=args.concurrency, max_queue=args.queue,
-        default_timeout_ms=args.timeout_ms,
-        drain_grace=args.drain_grace))
+    # The stores serve reads until the server has drained.
+    with contextlib.ExitStack() as stack:
+        if args.store:
+            code = _attach_stores(args, engine, stack, degrade=False,
+                                  warm=not args.no_warm)
+            if code != 0:
+                return code
+        # Additional corpora: each --corpus NAME=PATH loads its own data
+        # directory into its own engine (same strategy and tuning flags)
+        # and registers under NAME next to the primary --data corpus.
+        extra_corpora: list[tuple[str, str]] = []
+        seen_names = {args.corpus_name}
+        for spec in args.corpus or ():
+            name, separator, path = spec.partition("=")
+            if not separator or not name or not path:
+                print(f"error: --corpus expects NAME=PATH, got {spec!r}",
+                      file=sys.stderr)
+                return 2
+            if name in seen_names:
+                print(f"error: duplicate corpus name {name!r}",
+                      file=sys.stderr)
+                return 2
+            seen_names.add(name)
+            extra_corpora.append((name, path))
+        service = SearchService(stats=engine.stats,
+                                breaker_threshold=args.breaker_threshold,
+                                breaker_cooldown=args.breaker_cooldown)
+        service.add_corpus(args.corpus_name, engine)
+        corpus_sizes = {args.corpus_name: len(corpus)}
+        for name, path in extra_corpora:
+            extra_ontology, extra_corpus = _load_data_directory(path)
+            extra_engine = _make_engine(args, extra_corpus, extra_ontology,
+                                        None)
+            service.add_corpus(name, extra_engine)
+            corpus_sizes[name] = len(extra_corpus)
+        app = ServerApp(service, ServerConfig(
+            host=args.host, port=args.port,
+            max_concurrency=args.concurrency, max_queue=args.queue,
+            default_timeout_ms=args.timeout_ms,
+            drain_grace=args.drain_grace))
 
-    async def _run() -> None:
-        await app.start()
-        described = ", ".join(f"{name!r} ({size} documents)"
-                              for name, size in corpus_sizes.items())
-        print(f"serving {len(corpus_sizes)} corpus"
-              f"{'es' if len(corpus_sizes) != 1 else ''}: {described} "
-              f"(strategy={args.strategy}, shards={args.shards}) on "
-              f"http://{args.host}:{app.bound_port}", flush=True)
-        app.mark_ready()
-        print("ready (GET /search /healthz /readyz /metrics; "
-              "SIGTERM drains)", flush=True)
-        await app.serve_forever()
-        print("drained cleanly; exiting", flush=True)
+        async def _run() -> None:
+            await app.start()
+            described = ", ".join(f"{name!r} ({size} documents)"
+                                  for name, size in corpus_sizes.items())
+            print(f"serving {len(corpus_sizes)} corpus"
+                  f"{'es' if len(corpus_sizes) != 1 else ''}: {described} "
+                  f"(strategy={args.strategy}, shards={args.shards}) on "
+                  f"http://{args.host}:{app.bound_port}", flush=True)
+            app.mark_ready()
+            print("ready (GET /search /healthz /readyz /metrics; "
+                  "SIGTERM drains)", flush=True)
+            await app.serve_forever()
+            print("drained cleanly; exiting", flush=True)
 
-    asyncio.run(_run())
-    return 0
+        asyncio.run(_run())
+        return 0
 
 
 def command_verify_index(args: argparse.Namespace) -> int:
@@ -879,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--data", required=True)
     search.add_argument("query")
     search.add_argument("--store", default="",
-                        help="optional persisted index to load")
+                        help="optional persisted index to read through")
     search.add_argument("-k", "--top-k", dest="k", type=_positive_int,
                         default=10,
                         help="number of results (positive; bounded "
@@ -893,12 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print per-keyword evidence")
     search.add_argument("--fragment-lines", type=int, default=6)
     _add_read_flags(search)
-    search.add_argument("--strict", action="store_true",
-                        help="fail fast on any storage problem instead "
-                             "of degrading to corpus-built lists")
-    search.add_argument("--no-fallback", action="store_true",
-                        help="disable the degraded path (rebuild-from-"
-                             "corpus) when the store misbehaves")
+    search.add_argument("--strict", "--no-fallback", dest="strict",
+                        action="store_true",
+                        help="fail fast on a storage problem the query "
+                             "meets instead of degrading to "
+                             "corpus-built lists")
     search.add_argument("--verbose", action="store_true",
                         help="print retry/fallback/integrity counters")
     search.set_defaults(handler=command_search)

@@ -40,7 +40,8 @@ from ..stats import (CODEC_LAZY_LISTS, CODEC_RAW_FALLBACKS,
                      FALLBACK_REBUILDS, INTEGRITY_FAILURES,
                      INTEGRITY_VALIDATIONS, CacheStats, StatsRegistry)
 from .builder import IndexBuilder
-from .dil import DeweyInvertedList, XOntoDILIndex, keyword_from_key
+from .dil import (DeweyInvertedList, XOntoDILIndex, index_key,
+                  keyword_from_key)
 from .parallel import ParallelIndexBuilder
 from .segments import SegmentLifecycle
 from .vocabulary import default_vocabulary
@@ -130,8 +131,8 @@ class IndexManager:
         The serving layer's bounded-memory mode: with a bounded
         :class:`~repro.core.cache.DILCache`, evicted posting lists are
         re-read from the persisted index (cheap) rather than re-derived
-        from the corpus (expensive). Segmented stores are read through
-        their logical :class:`~repro.storage.segments.SegmentView`.
+        from the corpus (expensive). The store is validated and read
+        as :meth:`load_index` does (:meth:`_logical_view`).
 
         ``on_error`` decides what a query-time storage failure does:
         ``None`` (default) propagates the
@@ -146,9 +147,7 @@ class IndexManager:
         indexed vocabulary) is always built from the corpus -- that is
         vocabulary coverage, not a fault.
         """
-        if validate:
-            self.validate_store(store)
-        self._read_store = segment_view(store)
+        self._read_store = self._logical_view(store, validate)
         self._read_on_error = on_error
 
     def detach_read_store(self) -> None:
@@ -161,28 +160,38 @@ class IndexManager:
         return self._read_store
 
     def _read_through(self, keyword: Keyword) -> DeweyInvertedList:
-        from .dil import index_key
+        dil = self._fetch_or_degrade(self._read_store, index_key(keyword),
+                                     keyword, self._read_on_error)
+        if dil is None:
+            # Not a fault: the keyword is simply outside the
+            # persisted vocabulary (stores never hold empty lists).
+            return self.builder.build_keyword(keyword)[0]
+        return dil
+
+    def _fetch_or_degrade(self, store: IndexStore, key: str,
+                          keyword: Keyword,
+                          on_error) -> DeweyInvertedList | None:
+        """One stored posting list (``None`` when the store holds none
+        for the key) -- and the one place a failed store read becomes a
+        rebuild or a raise, for :meth:`load_index` and read-through
+        alike. An undecodable list is a :class:`CorruptIndexError`; any
+        other :class:`StorageError` is kept as it came. ``on_error`` is
+        :meth:`attach_read_store`'s: ``None`` raises, a callable
+        returning True rebuilds the list from the corpus (counted under
+        ``engine.fallback.rebuilds``)."""
         failure: StorageError
         try:
-            dil = self._dil_from_store(self._read_store,
-                                       index_key(keyword), keyword)
-            if dil is None:
-                # Not a fault: the keyword is simply outside the
-                # persisted vocabulary (stores never hold empty lists).
-                return self.builder.build_keyword(keyword)[0]
-            return dil
+            return self._dil_from_store(store, key, keyword)
         except ValueError as exc:
             failure = CorruptIndexError(
-                f"stored posting list for {keyword.text!r} is "
-                f"corrupt: {exc}")
+                f"stored posting list for {key!r} is corrupt: {exc}")
             failure.__cause__ = exc
         except StorageError as exc:
             failure = exc
-        if self._read_on_error is not None \
-                and self._read_on_error(failure):
-            self.stats.increment(FALLBACK_REBUILDS)
-            return self.builder.build_keyword(keyword)[0]
-        raise failure
+        if on_error is None or not on_error(failure):
+            raise failure
+        self.stats.increment(FALLBACK_REBUILDS)
+        return self.builder.build_keyword(keyword)[0]
 
     def _dil_from_store(self, store: IndexStore, key: str,
                         keyword: Keyword) -> DeweyInvertedList | None:
@@ -338,12 +347,6 @@ class IndexManager:
         :class:`IncompatibleIndexError` -- silently loading such an
         index would corrupt every ranking.
 
-        A store holding a segment catalog is loaded through its
-        read-only :class:`~repro.storage.segments.SegmentView`: the
-        cache is warmed with the *logical* (merged, tombstone-masked)
-        posting lists, byte-identical to a from-scratch build of the
-        live documents.
-
         With ``fallback=True`` (the default) a posting list that fails
         to load -- a transient fault the caller's retries did not clear,
         or a corrupt/undecodable list -- is rebuilt from the corpus
@@ -351,47 +354,41 @@ class IndexManager:
         ``engine.fallback.rebuilds``); ``fallback=False`` re-raises,
         for fail-fast operation.
         """
-        store = segment_view(store)
-        if validate:
-            self.validate_store(store)
+        store = self._logical_view(store, validate)
+        on_error = (lambda failure: True) if fallback else None
         with self.tracer.span("storage.load_index",
                               strategy=self.strategy) as span:
-            loaded = self._load_lists(store, fallback)
+            loaded = 0
+            for key in sorted(store.keywords(self.strategy)):
+                keyword = keyword_from_key(key)
+                dil = self._fetch_or_degrade(store, key, keyword,
+                                             on_error)
+                if dil is None:
+                    dil = DeweyInvertedList(keyword)
+                self.dil_cache.put((keyword.text, keyword.is_phrase), dil)
+                loaded += 1
             span.annotate(lists=loaded)
         return loaded
 
-    def _load_lists(self, store: IndexStore, fallback: bool) -> int:
-        loaded = 0
-        for key in sorted(store.keywords(self.strategy)):
-            keyword = keyword_from_key(key)
-            failure: StorageError | None = None
-            dil = None
-            try:
-                dil = self._dil_from_store(store, key, keyword)
-                if dil is None:
-                    dil = DeweyInvertedList(keyword)
-            except ValueError as exc:
-                failure = CorruptIndexError(
-                    f"stored posting list for {key!r} is corrupt: {exc}")
-                failure.__cause__ = exc
-            except StorageError as exc:
-                failure = exc
-            if failure is not None:
-                if not fallback:
-                    raise failure
-                self.stats.increment(FALLBACK_REBUILDS)
-                dil = self.builder.build_keyword(keyword)[0]
-            self.dil_cache.put((keyword.text, keyword.is_phrase), dil)
-            loaded += 1
-        return loaded
+    def _logical_view(self, store: IndexStore,
+                      validate: bool) -> IndexStore:
+        """``store`` as every reader sees it, validated once unless
+        the caller opted out. A store holding a segment catalog is read
+        through its :class:`~repro.storage.segments.SegmentView`: the
+        *logical* (merged, tombstone-masked) posting lists,
+        byte-identical to a from-scratch build of the live documents."""
+        view = segment_view(store)
+        if validate:
+            self.validate_store(view)
+        return view
 
     def validate_store(self, store: IndexStore) -> None:
         """Reject interrupted builds and parameter/corpus mismatches.
 
-        Segmented stores are validated through their logical view, so
-        the corpus fingerprint is checked against the *live* documents.
+        ``store`` is the logical view (:meth:`_logical_view`), so a
+        segmented store's corpus fingerprint is checked against the
+        *live* documents.
         """
-        store = segment_view(store)
         try:
             store_manifest.require_complete(store)
             stored_strategy = store.get_metadata("strategy")

@@ -337,14 +337,15 @@ class FederatedEngine(SearchEngine):
         return self.shard_engines[shard].explain(result, query)
 
     def cache_stats(self) -> CacheStats:
-        """DIL-cache counters aggregated across every shard (each
-        shard holds its own cache, so capacities add up too)."""
+        """DIL-cache counters across every shard. Each shard holds its
+        own cache, so sizes and capacities add up; hits, misses and
+        evictions are read once, because every shard cache counts into
+        the one registry the shards share."""
         parts = [engine.cache_stats() for engine in self.shard_engines]
         capacities = [part.capacity for part in parts]
         return CacheStats(
-            hits=sum(part.hits for part in parts),
-            misses=sum(part.misses for part in parts),
-            evictions=sum(part.evictions for part in parts),
+            hits=parts[0].hits, misses=parts[0].misses,
+            evictions=parts[0].evictions,
             size=sum(part.size for part in parts),
             capacity=None if None in capacities else sum(capacities))
 

@@ -302,3 +302,20 @@ class TestEngineIntegration:
             assert stats.capacity == 2 * capacity
             assert stats.size <= stats.capacity
             assert stats.size > capacity
+
+    def test_federated_counters_are_not_multiplied_by_shards(
+            self, cda_corpus, synthetic_ontology):
+        """The shard caches count into the one registry the shards
+        share; summing that shared counter once per shard reported
+        ``misses=18`` next to ``dil_cache.misses=6`` on three shards."""
+        from repro.core.query.federated import FederatedEngine
+        engine = FederatedEngine(cda_corpus, synthetic_ontology,
+                                 shards=3)
+        engine.search("fever acetaminophen", k=3)
+        engine.search("fever", k=3)
+        stats = engine.cache_stats()
+        # 2 keywords x 3 shards missed once; "fever" then hit 3 caches.
+        assert (stats.hits, stats.misses, stats.evictions) == (3, 6, 0)
+        assert stats.misses == engine.stats.value("dil_cache.misses")
+        assert stats.hits == engine.stats.value("dil_cache.hits")
+        assert stats.size == 6

@@ -10,7 +10,7 @@ from repro.core.stats import (FALLBACK_REBUILDS, INTEGRITY_FAILURES,
                               RETRY_GIVEUPS)
 from repro.ontology.snomed import build_core_ontology
 from repro.storage.errors import (CorruptIndexError,
-                                  IncompatibleIndexError,
+                                  IncompatibleIndexError, StorageError,
                                   TransientStorageError)
 from repro.storage.faults import FaultInjectingStore
 from repro.storage.memory_store import MemoryStore
@@ -190,3 +190,66 @@ class TestFaultedSearchIdentity:
 
         first, second = run(), run()
         assert first == second == results
+
+
+class DeadStore(FaultInjectingStore):
+    def get_postings(self, strategy, keyword):
+        raise TransientStorageError("always down")
+
+
+#: fault name -> (store decorator, lists it makes unreadable)
+FAULTS = {
+    "transient": (lambda store: FaultInjectingStore(
+        store, seed=11, transient_rate=0.999,
+        operations={"get_postings"}), len(VOCABULARY)),
+    "corrupt": (lambda store: FaultInjectingStore(
+        store, corrupt_keywords={"asthma"}), 1),
+    "dead": (DeadStore, len(VOCABULARY)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+class TestOneDegradationRoutine:
+    """``load_index(fallback=)`` and ``attach_read_store(on_error=)``
+    are two entrances to one fetch-or-degrade routine: the same fault
+    gives the same lists, the same counter and the same exception."""
+
+    @staticmethod
+    def lists(engine):
+        from repro.ir.tokenizer import Keyword
+        return {word: engine.dil_for(Keyword.from_text(word)).encoded()
+                for word in sorted(VOCABULARY)}
+
+    def test_absorbing_policies_agree(self, corpus, core_ontology,
+                                      baseline, fault):
+        store, _ = baseline
+        wrap, unreadable = FAULTS[fault]
+        clean = fresh_engine(corpus, core_ontology)
+        clean.load_index(store)
+        loader = fresh_engine(corpus, core_ontology)
+        loader.load_index(wrap(store), fallback=True)
+        reader = fresh_engine(corpus, core_ontology)
+        reader.attach_read_store(wrap(store), on_error=lambda exc: True)
+        assert self.lists(reader) == self.lists(loader) \
+            == self.lists(clean)
+        assert reader.stats.value(FALLBACK_REBUILDS) \
+            == loader.stats.value(FALLBACK_REBUILDS) == unreadable
+
+    def test_strict_policies_raise_the_same_error(self, corpus,
+                                                  core_ontology,
+                                                  baseline, fault):
+        store, _ = baseline
+        wrap, _ = FAULTS[fault]
+        loader = fresh_engine(corpus, core_ontology)
+        with pytest.raises(StorageError) as loading:
+            loader.load_index(wrap(store), fallback=False)
+        for on_error in (None, lambda exc: False):
+            reader = fresh_engine(corpus, core_ontology)
+            reader.attach_read_store(wrap(store), on_error=on_error)
+            with pytest.raises(StorageError) as reading:
+                self.lists(reader)
+            assert type(reading.value) is type(loading.value)
+            assert str(reading.value) == str(loading.value)
+            assert reader.stats.value(FALLBACK_REBUILDS) == 0
+        assert isinstance(loading.value, (CorruptIndexError,
+                                          TransientStorageError))

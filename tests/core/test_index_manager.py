@@ -83,6 +83,41 @@ class TestFingerprintMemo:
         assert loader.stats.value(INTEGRITY_VALIDATIONS) == 3
 
 
+class TestValidatedOnce:
+    def test_attach_then_warm_validates_each_shard_once(self, corpus):
+        """The ``serve`` start-up sequence: attach read-through
+        (validates), then warm with ``validate=False``."""
+        from repro.core.query.federated import FederatedEngine
+        document = build_figure1_document()
+        document.doc_id = 1
+        corpus.add(document)
+        stores = [MemoryStore(), MemoryStore()]
+        FederatedEngine(corpus, strategy="xrank", shards=2).build_index(
+            vocabulary={"asthma"}, stores=stores)
+        server = FederatedEngine(corpus, strategy="xrank", shards=2)
+        server.attach_read_stores(stores)
+        assert server.load_index(stores, validate=False) > 0
+        assert server.stats.value(INTEGRITY_VALIDATIONS) == 2
+
+    def test_the_logical_view_is_resolved_once_per_entry(
+            self, corpus, monkeypatch):
+        """Validation and reads share one logical view of the store;
+        ``load_index`` and ``attach_read_store`` used to resolve it
+        twice each (once to validate, once to read)."""
+        calls = []
+        real = manager_module.segment_view
+        monkeypatch.setattr(
+            manager_module, "segment_view",
+            lambda store: calls.append(store) or real(store))
+        store = MemoryStore()
+        XOntoRankEngine(corpus, strategy="xrank").build_index(
+            vocabulary={"asthma"}, store=store)
+        engine = XOntoRankEngine(corpus, strategy="xrank")
+        engine.load_index(store)
+        engine.attach_read_store(store)
+        assert calls == [store, store]
+
+
 class TestEngineFacade:
     def test_search_naive_reuses_one_evaluator(self, corpus):
         engine = XOntoRankEngine(corpus, strategy="xrank")

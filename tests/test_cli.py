@@ -45,7 +45,8 @@ class TestIndexAndSearch:
         code = main(["search", "--data", data_dir, "--store", store,
                      "asthma theophylline", "-k", "3"])
         captured = capsys.readouterr()
-        assert "loaded" in captured.out
+        assert f"reading index store {store}" in captured.out
+        assert "loaded" not in captured.out  # nothing is pre-loaded
         # Either results or a clean no-results exit, depending on the
         # tiny corpus; both paths must not crash.
         assert code in (0, 1)
@@ -233,7 +234,7 @@ class TestRobustness:
                      built_store, "fever", "-k", "2", "--verbose"])
         captured = capsys.readouterr()
         assert code in (0, 1)
-        assert "loaded" in captured.out
+        assert f"reading index store {built_store}" in captured.out
         assert "stats:" in captured.out
         assert "engine.integrity.validations=1" in captured.out
 
@@ -278,7 +279,7 @@ class TestSharded:
                      "--shard-workers", "2", query, "-k", "3"])
         federated = capsys.readouterr().out
         assert code in (0, 1)
-        assert federated.count("loaded") == 3
+        assert federated.count("reading index store") == 3
         single_code = main(["search", "--data", data_dir, query,
                             "-k", "3"])
         single = capsys.readouterr().out
@@ -332,6 +333,186 @@ class TestSharded:
                      "--cache-size", "0"])
         assert code in (0, 1)
         assert "size=0 capacity=0" in capsys.readouterr().out
+
+
+class TestReadPath:
+    """``search --store`` reads through the store exactly as ``serve``
+    does (docs/STORAGE.md, "Reading a persisted store"): only the
+    query's posting lists are read, each store is validated once, and
+    every backend and layout answers as the store-less run does."""
+
+    QUERY = "fever acetaminophen"
+
+    @pytest.fixture(scope="class")
+    def layouts(self, tmp_path_factory):
+        """One 6-patient corpus and four persisted forms of its index:
+        SQLite, mmap, grown (4 patients, ``--append`` to 6, ``compact``)
+        and three shards."""
+        root = tmp_path_factory.mktemp("readpath")
+        data, base = str(root / "data"), str(root / "base")
+        for directory, patients in ((data, "6"), (base, "4")):
+            assert main(["generate", "--out", directory, "--patients",
+                         patients, "--seed", "3"]) == 0
+        stores = {name: str(root / name)
+                  for name in ("sqlite", "mmap", "grown", "sharded")}
+        index = ["index", "--data", data, "--store"]
+        assert main(index + [stores["sqlite"]]) == 0
+        assert main(index + [stores["mmap"], "--store-format",
+                             "mmap"]) == 0
+        assert main(index + [stores["sharded"], "--shards", "3"]) == 0
+        assert main(["index", "--data", base,
+                     "--store", stores["grown"]]) == 0
+        assert main(index + [stores["grown"], "--append"]) == 0
+        assert main(["compact", "--store", stores["grown"]]) == 0
+        return data, stores
+
+    @staticmethod
+    def _ranked(out):
+        return [line for line in out.splitlines()
+                if line.startswith("#")]
+
+    def _store_less(self, data, capsys):
+        """The oracle: the ranking built from the corpus alone."""
+        capsys.readouterr()
+        assert main(["search", "--data", data, self.QUERY,
+                     "-k", "5"]) == 0
+        ranked = self._ranked(capsys.readouterr().out)
+        assert ranked
+        return ranked
+
+    @staticmethod
+    def _instruments(path):
+        import json
+        with open(path, encoding="utf-8") as handle:
+            return {row["name"]: row for row in map(json.loads, handle)}
+
+    @staticmethod
+    def _damage(source, target, keyword):
+        """Copy a SQLite store and make one row of ``keyword``'s
+        posting list undecodable."""
+        import shutil
+        import sqlite3
+        shutil.copyfile(source, target)
+        with sqlite3.connect(target) as connection:
+            changed = connection.execute(
+                "UPDATE postings SET dewey = 'not-a-dewey' WHERE "
+                "keyword = ? AND position = 0", (keyword,)).rowcount
+        connection.close()
+        assert changed == 1
+        return target
+
+    @pytest.mark.parametrize("layout", ["sqlite", "mmap", "sharded"])
+    def test_every_layout_ranks_as_the_store_less_run(self, layouts,
+                                                      layout, capsys):
+        data, stores = layouts
+        expected = self._store_less(data, capsys)
+        shards = ["--shards", "3"] if layout == "sharded" else []
+        assert main(["search", "--data", data, "--store",
+                     stores[layout], self.QUERY, "-k", "5"]
+                    + shards) == 0
+        out = capsys.readouterr().out
+        assert self._ranked(out) == expected
+        assert out.count("reading index store") == (3 if shards else 1)
+
+    def test_grown_store_ranks_as_its_eager_load(self, layouts, capsys):
+        """A store grown by ``--append`` keeps the scores its segments
+        were built with (BM25 statistics are corpus-global; the caveat
+        in docs/PAPER_MAP.md), so the store-less run is not its oracle:
+        the whole-store ``load_index`` the CLI used to do is."""
+        from repro import cli
+        from repro.storage import open_read_store
+        data, stores = layouts
+        args = cli.build_parser().parse_args(
+            ["search", "--data", data, self.QUERY])
+        ontology, corpus = cli._load_data_directory(data)
+        engine = cli._make_engine(args, corpus, ontology, None)
+        with open_read_store(stores["grown"]) as store:
+            engine.load_index([store])
+        expected = [f"#{rank}  score={result.score:.3f}  "
+                    f"{result.dewey.encode()}" for rank, result in
+                    enumerate(engine.search(self.QUERY, k=5), start=1)]
+        capsys.readouterr()
+        assert main(["search", "--data", data, "--store",
+                     stores["grown"], self.QUERY, "-k", "5"]) == 0
+        assert self._ranked(capsys.readouterr().out) == expected != []
+
+    @pytest.mark.parametrize("layout, shards", [("sqlite", 1),
+                                                ("sharded", 3)])
+    def test_reads_only_the_query_keywords(self, layouts, layout,
+                                           shards, tmp_path, capsys):
+        data, stores = layouts
+        metrics = str(tmp_path / "metrics.jsonl")
+        assert main(["search", "--data", data, "--store",
+                     stores[layout], "--shards", str(shards),
+                     self.QUERY, "--metrics-out", metrics]) == 0
+        capsys.readouterr()
+        instruments = self._instruments(metrics)
+        # Two distinct keywords, one read per keyword per shard store --
+        # the eager load read every list of the vocabulary.
+        assert instruments["storage.read"]["count"] == 2 * shards
+        assert "storage.load_index" not in instruments
+        assert instruments["engine.integrity.validations"]["value"] \
+            == shards
+
+    def test_damaged_queried_list_degrades_or_fails_fast(
+            self, layouts, tmp_path, capsys):
+        data, stores = layouts
+        expected = self._store_less(data, capsys)
+        damaged = self._damage(stores["sqlite"],
+                               str(tmp_path / "damaged.db"), "fever")
+        code = main(["search", "--data", data, "--store", damaged,
+                     self.QUERY, "-k", "5", "--verbose"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert self._ranked(captured.out) == expected
+        assert "engine.fallback.rebuilds=1" in captured.out
+        for flag in ("--strict", "--no-fallback"):
+            code = main(["search", "--data", data, "--store", damaged,
+                         self.QUERY, flag])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "cannot use index store" in captured.err
+            assert "'fever' is corrupt" in captured.err
+            assert not self._ranked(captured.out)
+
+    def test_damage_outside_the_query_is_verify_indexs_job(
+            self, layouts, tmp_path, capsys):
+        data, stores = layouts
+        expected = self._store_less(data, capsys)
+        damaged = self._damage(stores["sqlite"],
+                               str(tmp_path / "damaged.db"), "asthma")
+        for policy in ([], ["--strict"]):
+            code = main(["search", "--data", data, "--store", damaged,
+                         self.QUERY, "-k", "5", "--verbose"] + policy)
+            captured = capsys.readouterr()
+            assert code == 0
+            assert self._ranked(captured.out) == expected
+            assert "engine.fallback.rebuilds" not in captured.out
+        assert main(["verify-index", "--store", damaged]) == 1
+        assert "checksum mismatch" in capsys.readouterr().out
+
+    def test_serve_warm_up_validates_each_store_once(self, layouts,
+                                                     capsys):
+        """``serve`` attaches the same way and then warms: it used to
+        validate every store twice (attach, then ``load_index``)."""
+        import contextlib
+        from repro import cli
+        from repro.core.stats import INTEGRITY_VALIDATIONS
+        data, stores = layouts
+        args = cli.build_parser().parse_args(
+            ["serve", "--data", data, "--store", stores["sharded"],
+             "--shards", "3"])
+        ontology, corpus = cli._load_data_directory(data)
+        engine = cli._make_engine(args, corpus, ontology, None)
+        with contextlib.ExitStack() as stack:
+            assert cli._attach_stores(args, engine, stack,
+                                      degrade=False, warm=True) == 0
+            out = capsys.readouterr().out
+            assert engine.stats.value(INTEGRITY_VALIDATIONS) == 3
+            warmed = int(out.split("warmed ")[1].split()[0])
+            assert warmed == engine.cache_stats().size > 0
+            assert out.strip().endswith(
+                f"posting lists from {stores['sharded']}")
 
 
 class TestStatsAndParameters:
@@ -573,7 +754,10 @@ class TestDefaultShardsCompatibility:
     ``--shards 1`` nothing an operator sees may move."""
 
     #: Stdout of commit 5b016f2 (before the engines were unified) for
-    #: each ``$ repro ...`` line, run in one directory in order.
+    #: each ``$ repro ...`` line, run in one directory in order. Two
+    #: lines per ``search --store`` step changed since, deliberately:
+    #: ``reading index store`` replaced ``loaded N posting lists`` and
+    #: the dil-cache line counts the query's two read-through misses.
     GOLDEN = pathlib.Path(__file__).parent / "golden" \
         / "cli_default_shards.txt"
 
