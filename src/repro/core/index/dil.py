@@ -11,6 +11,7 @@ document order, which is what the stack-merge query algorithm requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ...ir.tokenizer import Keyword
@@ -290,15 +291,17 @@ class XOntoDILIndex:
         Without this, a load → save round-trip against the same store
         would leave both rows behind -- the postings duplicated and
         ``total_size_bytes`` double-counted on the next load.
+
+        The stale-key deletions and then every list go to the store as
+        one :meth:`~IndexStore.put_postings_many` batch (one transaction
+        on SQLite), encoded one list at a time as the store consumes it.
         """
-        stale = [key for key in list(store.keywords(self.strategy))
+        stale = [(key, ()) for key in list(store.keywords(self.strategy))
                  if key not in self.lists
                  and index_key(keyword_from_key(key)) in self.lists]
-        for key in stale:
-            store.put_postings(self.strategy, key, ())
-        for key, dil in self.lists.items():
-            if dil:
-                store.put_postings(self.strategy, key, dil.encoded())
+        store.put_postings_many(self.strategy, chain(stale, (
+            (key, dil.encoded()) for key, dil in self.lists.items()
+            if dil)))
 
     @classmethod
     def load(cls, store: IndexStore, strategy: str) -> "XOntoDILIndex":

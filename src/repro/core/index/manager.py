@@ -315,19 +315,19 @@ class IndexManager:
             text = serialize(document)
             store.put_document(document.doc_id, text)
             document_texts.append((document.doc_id, text))
-        store.put_metadata("strategy", self.strategy)
-        store.put_metadata("decay", str(self.config.decay))
-        store.put_metadata("threshold", str(self.config.threshold))
-        store.put_metadata("t", str(self.config.t))
         chunks = build_stats.value("parallel_build.chunks")
         mode = next(
             (name.rsplit(".", 1)[1]
              for name in build_stats.snapshot()
              if name.startswith("parallel_build.mode.")), "serial")
-        store.put_metadata("build_workers",
-                           str(workers if workers else 1))
-        store.put_metadata("build_chunks", str(chunks or 1))
-        store.put_metadata("build_mode", mode)
+        store.put_metadata_many([
+            ("strategy", self.strategy),
+            ("decay", str(self.config.decay)),
+            ("threshold", str(self.config.threshold)),
+            ("t", str(self.config.t)),
+            ("build_workers", str(workers if workers else 1)),
+            ("build_chunks", str(chunks or 1)),
+            ("build_mode", mode)])
         store_manifest.finalize_manifest(
             store, self.strategy,
             memoized_corpus_fingerprint(self.corpus, document_texts))

@@ -330,6 +330,7 @@ class ParallelIndexBuilder:
             self._tracer.observe("parallel_build.shard_build",
                                  build_seconds)
         postings_flushed = 0
+        batch = []
         with self._tracer.span("index.merge_shard", chunk=chunk_id,
                                keywords=len(entries)) as span:
             for entry in entries:
@@ -338,11 +339,12 @@ class ParallelIndexBuilder:
                 if store is not None:
                     key = index_key(dil.keyword)
                     if dil:  # stores treat empty lists as absent
-                        store.put_postings(index.strategy, key,
-                                           dil.encoded())
+                        batch.append((key, dil.encoded()))
                         postings_flushed += len(dil)
                     if not keep_lists:
                         del index.lists[key]
+            if batch:  # the whole shard is one store transaction
+                store.put_postings_many(index.strategy, batch)
             span.annotate(postings_flushed=postings_flushed)
         # Per-shard counters land as one batch, not one lock
         # acquisition per keyword/posting.

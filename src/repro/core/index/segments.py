@@ -18,7 +18,12 @@ maintenance on top of :mod:`repro.storage.segments`:
 * **compact** -- folds every live segment into one via the
   ``heapq.merge`` newest-wins posting merge, commits the new catalog,
   then garbage-collects dead namespaces, tombstoned document rows and
-  any orphans from crashed mutations.
+  any orphans from crashed mutations, and gives the freed file space
+  back.
+
+Every namespace write is one ``put_postings_many`` batch, so on SQLite
+an append's posting rows land (or roll back) as one transaction; see
+docs/STORAGE.md, "Interaction with manifests and segments".
 
 **Statistics epochs.** NodeScores embed corpus-global BM25 statistics
 (element count, document frequencies, per-keyword normalization), so a
@@ -36,6 +41,7 @@ Table III builds (see docs/PAPER_MAP.md).
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from ...ir.tokenizer import Keyword, tokenize
@@ -60,11 +66,16 @@ from .dil import DeweyInvertedList, index_key, keyword_from_key
 from .vocabulary import corpus_vocabulary, experiment_vocabulary
 
 
-def _clear_namespace(store: IndexStore, namespace: str) -> None:
-    """Drop every posting row of a namespace (orphans of a crashed
-    mutation that targeted the same segment id)."""
-    for keyword in list(store.keywords(namespace)):
-        store.put_postings(namespace, keyword, ())
+def _replace_namespace(store: IndexStore, namespace: str,
+                       lists: dict[str, list]) -> None:
+    """Make ``lists`` the whole content of a posting namespace in one
+    ``put_postings_many`` batch (one transaction on SQLite): every row
+    already there -- orphans of a crashed mutation that targeted the
+    same segment id, or a dead segment being reclaimed -- is deleted
+    first, then the lists are written in key order."""
+    stale = [(keyword, ()) for keyword in list(store.keywords(namespace))]
+    store.put_postings_many(namespace, chain(
+        stale, ((key, lists[key]) for key in sorted(lists))))
 
 
 def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
@@ -75,7 +86,9 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
     new catalog, or ``None`` when the store holds no segment catalog.
     The single ``save_catalog`` write is the commit point; everything
     after it is garbage collection that a crash can only leave as
-    harmless orphans for the *next* compaction.
+    harmless orphans for the *next* compaction, ending with
+    :meth:`~IndexStore.reclaim_space` (``VACUUM`` on SQLite) so the
+    file shrinks by what the collection freed.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     catalog = load_catalog(store)
@@ -85,9 +98,7 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
                      segments=len(catalog.segments)) as span:
         lists = merged_lists(store, catalog)
         namespace = segment_namespace(catalog.strategy, catalog.next_id)
-        _clear_namespace(store, namespace)
-        for keyword in sorted(lists):
-            store.put_postings(namespace, keyword, lists[keyword])
+        _replace_namespace(store, namespace, lists)
         record = SegmentRecord(segment_id=catalog.next_id,
                                namespace=namespace,
                                doc_ids=tuple(catalog.live),
@@ -99,17 +110,17 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
             segments=(record,))
         save_catalog(store, compacted)  # <-- the commit point
         # Post-commit GC: dead namespaces, tombstoned/orphaned document
-        # rows, and the plain manifest entries brought back in sync
-        # with the logical index.
+        # rows, the plain manifest entries brought back in sync with
+        # the logical index, and last the file space all that freed.
         for old in catalog.segments:
-            _clear_namespace(store, old.namespace)
+            _replace_namespace(store, old.namespace, {})
         for doc_id in sorted(set(store.document_ids())
                              - catalog.live_set):
             store.delete_document(doc_id)
-        store.put_metadata(CHECKSUM_KEY_PREFIX + catalog.strategy,
-                           record.checksum)
-        store.put_metadata(CORPUS_FINGERPRINT_KEY,
-                           catalog.live_fingerprint)
+        store.put_metadata_many([
+            (CHECKSUM_KEY_PREFIX + catalog.strategy, record.checksum),
+            (CORPUS_FINGERPRINT_KEY, catalog.live_fingerprint)])
+        store.reclaim_space()
         span.annotate(keywords=len(lists),
                       tombstones_reclaimed=catalog.tombstone_count)
     return compacted
@@ -301,9 +312,7 @@ class SegmentLifecycle:
                 documents, new_ids, radius)
             namespace = segment_namespace(self.catalog.strategy,
                                           self.catalog.next_id)
-            _clear_namespace(self.store, namespace)
-            for key in sorted(lists):
-                self.store.put_postings(namespace, key, lists[key])
+            _replace_namespace(self.store, namespace, lists)
             for document in documents:
                 self.store.put_document(document.doc_id,
                                         texts[document.doc_id])

@@ -38,9 +38,12 @@ from .interface import EncodedPosting, IndexStore
 #: guaranteed unparseable by :meth:`repro.xmldoc.dewey.DeweyID.parse`.
 CORRUPT_DEWEY = "corrupt.posting.!"
 
+#: Batch writes (``put_postings_many`` / ``put_metadata_many``) are not
+#: listed: they keep the interface's per-item loop, so every list or
+#: entry of a batch is its own write and its own cut point.
 _WRITE_OPERATIONS = frozenset(
     {"put_postings", "put_document", "put_metadata",
-     "delete_document"})
+     "delete_document", "reclaim_space"})
 
 
 class FaultInjectingStore(IndexStore):
@@ -165,5 +168,9 @@ class FaultInjectingStore(IndexStore):
         return iter(list(self._inner.metadata_keys()))
 
     # ------------------------------------------------------------------
+    def reclaim_space(self) -> None:
+        self._guard("reclaim_space")
+        self._inner.reclaim_space()
+
     def close(self) -> None:
         self._inner.close()

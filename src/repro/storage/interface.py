@@ -74,8 +74,8 @@ class IndexStore(ABC):
         item; the default does exactly that. Transactional backends
         override this to land the whole batch under one transaction --
         the difference between hundreds and hundreds of thousands of
-        lists per second, which the ontology index build (10^5+ keys)
-        depends on.
+        lists per second. Every index writer (builds, segment appends,
+        compaction, the ontology indexes) writes through here.
         """
         for keyword, postings in items:
             self.put_postings(strategy, keyword, postings)
@@ -123,6 +123,13 @@ class IndexStore(ABC):
         backends override with one transaction)."""
         for key, value in items:
             self.put_metadata(key, value)
+
+    def reclaim_space(self) -> None:
+        """Give the space of deleted rows back to the file system.
+
+        Called after a committed compaction; it must never change what
+        the store holds. The default is a no-op (in-memory and
+        immutable backends have nothing to reclaim)."""
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -97,11 +97,12 @@ def mark_build_started(store: IndexStore) -> None:
 
 def finalize_manifest(store: IndexStore, strategy: str,
                       fingerprint: str) -> None:
-    """Last writes of a build, completion marker strictly last."""
-    store.put_metadata(MANIFEST_VERSION_KEY, MANIFEST_VERSION)
-    store.put_metadata(CHECKSUM_KEY_PREFIX + strategy,
-                       store_checksum(store, strategy))
-    store.put_metadata(CORPUS_FINGERPRINT_KEY, fingerprint)
+    """Last writes of a build: the manifest entries as one batch, then
+    the completion marker strictly last, on its own."""
+    store.put_metadata_many([
+        (MANIFEST_VERSION_KEY, MANIFEST_VERSION),
+        (CHECKSUM_KEY_PREFIX + strategy, store_checksum(store, strategy)),
+        (CORPUS_FINGERPRINT_KEY, fingerprint)])
     store.put_metadata(BUILD_COMPLETE_KEY, BUILD_COMPLETE)
 
 

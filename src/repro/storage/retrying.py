@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..core.deadline import current_deadline
 from ..core.obs.tracer import NULL_TRACER
@@ -139,6 +139,15 @@ class RetryingStore(IndexStore):
         self._retry(lambda: self._inner.put_postings(strategy, keyword,
                                                      postings))
 
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
+        # One retried call for the whole batch, so the inner store still
+        # lands it as one transaction; materialized so a retry replays
+        # every item, not what an exhausted generator has left.
+        batch = list(items)
+        self._retry(lambda: self._inner.put_postings_many(strategy, batch))
+
     def get_postings(self, strategy: str, keyword: str,
                      ) -> list[EncodedPosting]:
         # The span covers every attempt and each backoff sleep, so the
@@ -175,6 +184,11 @@ class RetryingStore(IndexStore):
     def put_metadata(self, key: str, value: str) -> None:
         self._retry(lambda: self._inner.put_metadata(key, value))
 
+    def put_metadata_many(self,
+                          items: Iterable[tuple[str, str]]) -> None:
+        batch = list(items)  # see put_postings_many
+        self._retry(lambda: self._inner.put_metadata_many(batch))
+
     def get_metadata(self, key: str, default: str | None = None,
                      ) -> str | None:
         return self._retry(lambda: self._inner.get_metadata(key, default))
@@ -184,5 +198,8 @@ class RetryingStore(IndexStore):
             lambda: list(self._inner.metadata_keys())))
 
     # ------------------------------------------------------------------
+    def reclaim_space(self) -> None:
+        self._retry(self._inner.reclaim_space)
+
     def close(self) -> None:
         self._inner.close()

@@ -3,8 +3,11 @@
 The durable counterpart of :class:`~repro.storage.memory_store.MemoryStore`
 and the stand-in for the paper's SQL Server deployment. Posting lists are
 stored row-per-posting with a composite primary key so partial scans and
-counts stay in the database; writes are batched per keyword inside a
-transaction.
+counts stay in the database. Every write call is one transaction: a
+:meth:`~SQLiteStore.put_postings_many` or
+:meth:`~SQLiteStore.put_metadata_many` batch commits (and fsyncs) once,
+however many lists or entries it carries, and a failure rolls the whole
+batch back. :meth:`~SQLiteStore.reclaim_space` runs ``VACUUM``.
 
 Resilience contract (see :mod:`repro.storage.errors`):
 
@@ -189,24 +192,19 @@ class SQLiteStore(IndexStore):
     # ------------------------------------------------------------------
     def put_postings(self, strategy: str, keyword: str,
                      postings: Sequence[EncodedPosting]) -> None:
-        with self._guarded(), self._connection:
-            self._connection.execute(
-                "DELETE FROM postings WHERE strategy = ? AND keyword = ?",
-                (strategy, keyword))
-            self._connection.executemany(
-                "INSERT INTO postings "
-                "(strategy, keyword, position, dewey, score) "
-                "VALUES (?, ?, ?, ?, ?)",
-                ((strategy, keyword, position, dewey, float(score))
-                 for position, (dewey, score) in enumerate(postings)))
+        self._write_postings(strategy, ((keyword, postings),))
 
     def put_postings_many(
             self, strategy: str,
             items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
+        self._write_postings(strategy, items)
+
+    def _write_postings(
+            self, strategy: str,
+            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
         # One transaction for the whole batch: per-list transactions
         # commit (fsync) each list and cap throughput at a few hundred
-        # lists per second, which the ontology indexes (10^5+ keys per
-        # build) cannot afford.
+        # lists per second.
         with self._guarded(), self._connection:
             for keyword, postings in items:
                 self._connection.execute(
@@ -306,6 +304,15 @@ class SQLiteStore(IndexStore):
             yield key
 
     # ------------------------------------------------------------------
+    def reclaim_space(self) -> None:
+        # VACUUM rewrites the file without the free pages deleted rows
+        # left behind. It builds the copy aside and writes it back
+        # through the rollback journal, so a kill mid-VACUUM leaves the
+        # committed file either untouched or behind a hot journal the
+        # next open rolls back.
+        with self._guarded():
+            self._connection.execute("VACUUM")
+
     def close(self) -> None:
         with self._lock:
             self._connection.close()

@@ -12,6 +12,12 @@ SIGKILL at any instant leaves the surviving store either entirely
 without the in-flight segment (old catalog in force; any orphan rows
 are invisible to readers and reported as verify-index *notes*, never
 problems) or with it complete. Torn segments cannot be observed.
+
+Besides kills after fixed delays, two kills land inside a named window
+on any machine: inside an append's posting batch (one transaction, so
+it rolls back and leaves no orphaned namespace) and inside the
+compaction's VACUUM (after the catalog commit, so the compaction
+stands).
 """
 
 import os
@@ -24,7 +30,9 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.storage import SQLiteStore, load_catalog, verify_manifest
+from repro.core.config import RELATIONSHIPS
+from repro.storage import (SQLiteStore, canonical_dump, load_catalog,
+                           segment_namespace, verify_manifest)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "src")
@@ -38,15 +46,20 @@ def data_dir(tmp_path_factory):
     return directory
 
 
-def spawn_index_build(data_dir: str, store: str) -> subprocess.Popen:
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR] + [p for p in env.get("PYTHONPATH", "").split(
             os.pathsep) if p])
+    return env
+
+
+def spawn_index_build(data_dir: str, store: str) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "index", "--data", data_dir,
          "--store", store],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
 
 
 class TestSigkilledBuild:
@@ -105,13 +118,46 @@ def grow_dirs(tmp_path_factory):
 
 
 def spawn_cli(arguments) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC_DIR] + [p for p in env.get("PYTHONPATH", "").split(
-            os.pathsep) if p])
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *arguments],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+
+
+#: Runs the CLI in a child that SIGKILLs itself from *inside* the SQL
+#: of one ``SQLiteStore`` method: a sqlite3 progress handler fires every
+#: N virtual-machine instructions of the running statement, so the kill
+#: lands mid-transaction (or mid-VACUUM) on any machine, where a timer
+#: would have to guess a window a few milliseconds wide.
+KILL_INSIDE = """
+import os, signal, sys
+from repro.cli import main
+from repro.storage.sqlite_store import SQLiteStore
+method = sys.argv[1]
+original = getattr(SQLiteStore, method)
+def killed_inside(self, *args, **kwargs):
+    self._connection.set_progress_handler(
+        lambda: os.kill(os.getpid(), signal.SIGKILL), 10000)
+    return original(self, *args, **kwargs)
+setattr(SQLiteStore, method, killed_inside)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_killed_inside(method: str, arguments) -> None:
+    """Run the CLI until it dies inside ``SQLiteStore.<method>``."""
+    completed = subprocess.run(
+        [sys.executable, "-c", KILL_INSIDE, method, *arguments],
+        env=child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=120)
+    assert completed.returncode == -signal.SIGKILL, \
+        f"the CLI never reached SQLiteStore.{method}"
+
+
+def logical_dump(store_path: str) -> bytes:
+    with SQLiteStore(store_path, read_only=True) as store:
+        return canonical_dump(store, [RELATIONSHIPS],
+                              include_provenance=True)
 
 
 def kill_after(process: subprocess.Popen, delay: float) -> None:
@@ -163,6 +209,27 @@ class TestSigkilledAppend:
             assert len(catalog.segments) == 2
             assert set(catalog.segments[-1].doc_ids) == {2, 3}
 
+    def test_kill_inside_the_posting_batch_rolls_back(self, grow_dirs,
+                                                      built_store,
+                                                      tmp_path):
+        # The segment's posting lists are one transaction: a kill in
+        # the middle of writing them leaves no row of the segment.
+        _, full = grow_dirs
+        store = str(tmp_path / "append-in-batch.db")
+        shutil.copyfile(built_store, store)
+        run_killed_inside("put_postings_many", [
+            "index", "--data", full, "--store", store, "--append"])
+        catalog = surviving_catalog(store)
+        if catalog is not None:  # the bootstrap commit came first
+            assert catalog.live_set == {0, 1}
+            assert len(catalog.segments) == 1
+        with SQLiteStore(store, read_only=True) as reader:
+            assert list(reader.keywords(
+                segment_namespace(RELATIONSHIPS, 1))) == []
+            assert not any("orphaned" in note for note
+                           in verify_manifest(reader).notes)
+        assert logical_dump(store) == logical_dump(built_store)
+
     def test_completed_append_verifies_and_searches(self, grow_dirs,
                                                     built_store,
                                                     tmp_path):
@@ -205,6 +272,18 @@ class TestSigkilledCompaction:
         # garbage collection leaves only invisible orphans (notes).
         assert catalog.live_set == {0, 1, 2, 3}
         assert len(catalog.segments) in (1, 2)
+
+    def test_kill_inside_vacuum_keeps_the_commit(self, segmented_store,
+                                                 tmp_path):
+        # VACUUM runs after the catalog commit and through the rollback
+        # journal: a kill inside it leaves the compacted store.
+        store = str(tmp_path / "compact-in-vacuum.db")
+        shutil.copyfile(segmented_store, store)
+        run_killed_inside("reclaim_space", ["compact", "--store", store])
+        catalog = surviving_catalog(store)
+        assert catalog.live_set == {0, 1, 2, 3}
+        assert len(catalog.segments) == 1
+        assert logical_dump(store) == logical_dump(segmented_store)
 
     def test_completed_compaction_verifies(self, grow_dirs,
                                            segmented_store, tmp_path):

@@ -12,6 +12,7 @@ from repro.storage.errors import (CorruptIndexError, StorageError,
 from repro.storage.faults import CORRUPT_DEWEY, FaultInjectingStore
 from repro.storage.memory_store import MemoryStore
 from repro.storage.retrying import RetryingStore
+from repro.storage.sqlite_store import SQLiteStore
 
 POSTINGS = [("0.1.2", 0.5), ("0.3", 1.0)]
 
@@ -295,6 +296,76 @@ class TestFaultInjectingStore:
             FaultInjectingStore(MemoryStore(), transient_rate=1.0)
         with pytest.raises(ValueError):
             FaultInjectingStore(MemoryStore(), fail_after_writes=-1)
+
+
+def commit_count(store: SQLiteStore, write) -> int:
+    """COMMITs the SQLite store executes while ``write()`` runs."""
+    statements: list[str] = []
+    store._connection.set_trace_callback(statements.append)
+    try:
+        write()
+    finally:
+        store._connection.set_trace_callback(None)
+    return statements.count("COMMIT")
+
+
+class TestRetryingBatches:
+    """A batch through RetryingStore stays one batch: one retried call,
+    one transaction on the inner store."""
+
+    LISTS = [(f"kw{index:02d}", POSTINGS) for index in range(12)]
+
+    def test_postings_batch_is_one_commit(self):
+        inner = SQLiteStore()
+        store = RetryingStore(inner, sleep=lambda _: None)
+        assert commit_count(inner, lambda: store.put_postings_many(
+            "graph", iter(self.LISTS))) == 1
+        assert sorted(inner.keywords("graph")) == \
+            [key for key, _ in self.LISTS]
+
+    def test_metadata_batch_is_one_commit(self):
+        inner = SQLiteStore()
+        store = RetryingStore(inner, sleep=lambda _: None)
+        entries = [(f"key{index}", str(index)) for index in range(7)]
+        assert commit_count(inner, lambda: store.put_metadata_many(
+            iter(entries))) == 1
+        assert sorted(inner.metadata_keys()) == sorted(
+            key for key, _ in entries)
+
+    def test_transient_fault_retries_the_whole_batch_once_each(self):
+        # The injected fault lands mid-batch (the fault injector keeps
+        # the per-list loop): the retry replays the whole batch from a
+        # materialized copy -- a generator would be half exhausted --
+        # and replacing a list is idempotent, so each lands once.
+        stats = StatsRegistry()
+        sqlite = SQLiteStore()
+        faulty = FaultInjectingStore(sqlite, seed=4, transient_rate=0.1,
+                                     operations={"put_postings"},
+                                     stats=stats)
+        store = RetryingStore(faulty, max_attempts=50, stats=stats,
+                              sleep=lambda _: None)
+        commits = commit_count(sqlite, lambda: store.put_postings_many(
+            "graph", iter(self.LISTS)))
+        assert stats.value(FAULTS_TRANSIENT) > 0
+        assert stats.value(RETRY_RECOVERIES) == 1
+        # Lists written before the fault were written again.
+        assert commits > len(self.LISTS)
+        assert sorted(sqlite.keywords("graph")) == \
+            [key for key, _ in self.LISTS]
+        for key, postings in self.LISTS:
+            assert sqlite.posting_count("graph", key) == len(postings)
+            assert sqlite.get_postings("graph", key) == postings
+
+    def test_reclaim_space_is_forwarded(self):
+        class Reclaiming(MemoryStore):
+            reclaimed = 0
+
+            def reclaim_space(self):
+                self.reclaimed += 1
+
+        inner = Reclaiming()
+        RetryingStore(FaultInjectingStore(inner)).reclaim_space()
+        assert inner.reclaimed == 1
 
 
 class TestRetryOverFaults:
