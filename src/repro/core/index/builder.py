@@ -52,8 +52,9 @@ class IndexBuilder:
         with self._tracer.span("index.build_keyword",
                                keyword=keyword.text) as span:
             started = time.perf_counter()
-            onto_entries = len(self._ontoscore.compute(keyword))
-            node_scores = self._node_scorer.node_scores(keyword)
+            onto = self._ontoscore.compute(keyword)
+            onto_entries = len(onto)
+            node_scores = self._node_scorer.node_scores(keyword, onto)
             postings = [Posting(dewey, score)
                         for dewey, score in node_scores.items()
                         if score > 0.0]

@@ -57,6 +57,11 @@ class Posting:
         return len(self.dewey.encode()) + 8
 
 
+def _posting_key(posting: Posting) -> tuple:
+    dewey = posting.dewey
+    return (dewey.doc_id, dewey.path, posting.score)
+
+
 class DeweyInvertedList:
     """The sorted posting list of one keyword."""
 
@@ -69,12 +74,17 @@ class DeweyInvertedList:
     def __init__(self, keyword: Keyword,
                  postings: Sequence[Posting] = ()) -> None:
         self.keyword = keyword
-        self._postings = sorted(postings)
+        # The same order as Posting's dataclass ``__lt__``, without a
+        # DeweyID comparison per step.
+        self._postings = sorted(postings, key=_posting_key)
         self._doc_max: dict[int, float] | None = None
-        for first, second in zip(self._postings, self._postings[1:]):
-            if first.dewey == second.dewey:
+        previous = None
+        for posting in self._postings:
+            key = (posting.dewey.doc_id, posting.dewey.path)
+            if key == previous:
                 raise ValueError(
-                    f"duplicate posting for {first.dewey.encode()}")
+                    f"duplicate posting for {posting.dewey.encode()}")
+            previous = key
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

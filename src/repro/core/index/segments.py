@@ -375,10 +375,7 @@ class SegmentLifecycle:
             for node in document.iter():
                 new_tokens.update(
                     tokenize(node.textual_description(text_policy)))
-        new_concepts = {
-            code for dewey, code
-            in element_index.code_node_concepts().items()
-            if dewey.doc_id in new_ids}
+        new_concepts = element_index.concepts_in(new_ids)
 
         lists: dict[str, list] = {}
         built = skipped = 0

@@ -192,6 +192,12 @@ class OntoScoreComputer(ABC):
     built with) and :meth:`neighbors`. :meth:`compute` returns the
     OntoScore hash-map slice for one keyword -- the paper's
     ``H[(c, w)] -> OS`` restricted to concepts above threshold.
+
+    The ontology is read-only once a computer has expanded a keyword:
+    both the per-keyword score maps and the per-node edge lists
+    (:meth:`edges`, each node's :meth:`neighbors` derived once and
+    shared by every keyword's expansion) are memoized for the
+    computer's lifetime. To change the ontology, build a new computer.
     """
 
     #: Name used to namespace index storage ("graph", "taxonomy", ...).
@@ -208,6 +214,7 @@ class OntoScoreComputer(ABC):
         self._threshold = threshold
         self._exact = exact
         self._cache: dict[Keyword, dict[NodeId, float]] = {}
+        self._edges: dict[NodeId, tuple[tuple[NodeId, float], ...]] = {}
         self._persistent_cache = None
         self._trace_cache: dict[
             Keyword, tuple[dict[NodeId, float],
@@ -217,6 +224,17 @@ class OntoScoreComputer(ABC):
     @abstractmethod
     def neighbors(self, node: NodeId) -> Iterable[tuple[NodeId, float]]:
         """Strategy-specific outgoing flow edges of ``node``."""
+
+    def edges(self, node: NodeId) -> tuple[tuple[NodeId, float], ...]:
+        """:meth:`neighbors` of ``node``, derived once per computer.
+
+        Every expansion (:meth:`compute` and :meth:`flow_path`) walks
+        the ontology through this memo.
+        """
+        edges = self._edges.get(node)
+        if edges is None:
+            edges = self._edges[node] = tuple(self.neighbors(node))
+        return edges
 
     def postprocess(self, scores: dict[NodeId, float],
                     ) -> dict[NodeId, float]:
@@ -259,7 +277,7 @@ class OntoScoreComputer(ABC):
                     seeds = self._seed_scorer.seeds(keyword)
                 expand = (best_first_expansion if self._exact
                           else level_order_expansion)
-                scores = expand(seeds, self.neighbors, self._threshold)
+                scores = expand(seeds, self.edges, self._threshold)
                 cached = self.postprocess(scores)
                 span.annotate(
                     algorithm=("best_first" if self._exact
@@ -288,7 +306,7 @@ class OntoScoreComputer(ABC):
         traced = self._trace_cache.get(keyword)
         if traced is None:
             seeds = self._seed_scorer.seeds(keyword)
-            traced = best_first_expansion_traced(seeds, self.neighbors,
+            traced = best_first_expansion_traced(seeds, self.edges,
                                                  self._threshold)
             self._trace_cache[keyword] = traced
         _, predecessors = traced

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from typing import Container, Mapping, Sequence
+
 from ..ir.inverted_index import PositionalIndex
 from .obs.tracer import NULL_TRACER
 from .ontoscore.base import make_scorer
@@ -28,7 +30,9 @@ class ElementIndex:
     Units are :class:`DeweyID`\\ s; each element contributes its own
     textual description (not its subtree's -- subtree association is
     what propagation provides). Also records which code node resolves to
-    which concept of the search ontology, the ``onto(D, v)`` map.
+    which concept of the search ontology, the ``onto(D, v)`` map, and its
+    inverse, concept → code nodes, so Eq. 5 visits only the code nodes
+    a keyword's OntoScores reach.
     """
 
     def __init__(self, corpus: Corpus, text_policy: TextPolicy | None = None,
@@ -36,6 +40,8 @@ class ElementIndex:
                  b: float = 0.75, ir_function: str = "bm25") -> None:
         self._index = PositionalIndex()
         self._code_node_concepts: dict[DeweyID, str] = {}
+        # The inverse of ``_code_node_concepts`` (see concept_code_nodes).
+        self._concept_nodes: dict[str, list[tuple[int, DeweyID]]] = {}
         self._node_order: list[DeweyID] = []
         self._doc_ids: set[int] = set()
         self._text_policy = text_policy
@@ -55,6 +61,8 @@ class ElementIndex:
             if node.reference is not None and self._resolver is not None:
                 concept = self._resolver(node.reference)
                 if concept is not None:
+                    self._concept_nodes.setdefault(concept.code, []).append(
+                        (len(self._code_node_concepts), dewey))
                     self._code_node_concepts[dewey] = concept.code
 
     def has_document(self, doc_id: int) -> bool:
@@ -87,6 +95,19 @@ class ElementIndex:
     def code_node_concepts(self) -> dict[DeweyID, str]:
         """Dewey ID → referenced concept code, for resolvable code nodes."""
         return dict(self._code_node_concepts)
+
+    def concept_code_nodes(self,
+                           ) -> Mapping[str, Sequence[tuple[int, DeweyID]]]:
+        """Concept code → ``(ordinal, Dewey ID)`` of each code node
+        referencing it; the ordinal is the node's position in
+        :meth:`code_node_concepts` order. The live map, not a copy --
+        callers must not mutate it."""
+        return self._concept_nodes
+
+    def concepts_in(self, doc_ids: Container[int]) -> set[str]:
+        """Concept codes referenced by code nodes of the given documents."""
+        return {code for dewey, code in self._code_node_concepts.items()
+                if dewey.doc_id in doc_ids}
 
     def concept_of(self, dewey: DeweyID) -> str | None:
         return self._code_node_concepts.get(dewey)
@@ -123,26 +144,40 @@ class NodeScorer:
         index's corpus-global statistics change (document added)."""
         self._cache.clear()
 
-    def node_scores(self, keyword: Keyword) -> dict[DeweyID, float]:
-        """All nonzero ``NS(v, w)`` values for one keyword."""
+    def node_scores(self, keyword: Keyword,
+                    onto: Mapping[str, float] | None = None,
+                    ) -> dict[DeweyID, float]:
+        """All nonzero ``NS(v, w)`` values for one keyword.
+
+        ``onto`` is the keyword's OntoScore map when the caller already
+        holds it; by default it is read from the OntoScore computer.
+        """
         cached = self._cache.get(keyword)
         if cached is None:
             with self._tracer.span("index.node_scores",
                                    keyword=keyword.text) as span:
-                cached = self._compute(keyword)
+                if onto is None:
+                    onto = self._ontoscore.compute(keyword)
+                cached = self._compute(keyword, onto)
                 span.annotate(scored_nodes=len(cached))
             self._cache[keyword] = cached
         return dict(cached)
 
-    def _compute(self, keyword: Keyword) -> dict[DeweyID, float]:
+    def _compute(self, keyword: Keyword,
+                 onto: Mapping[str, float]) -> dict[DeweyID, float]:
         scores = self._elements.irs(keyword)
-        onto = self._ontoscore.compute(keyword)
-        if onto:
-            for dewey, concept in \
-                    self._elements.code_node_concepts().items():
-                ontoscore = onto.get(concept, 0.0)
+        # Only code nodes referencing a concept in ``onto`` can take the
+        # ontological side of the max. Raised nodes are inserted in
+        # code-node order, so the map's order matches a full scan.
+        code_nodes = self._elements.concept_code_nodes()
+        raised = []
+        for concept, ontoscore in onto.items():
+            for ordinal, dewey in code_nodes.get(concept, ()):
                 if ontoscore > scores.get(dewey, 0.0):
-                    scores[dewey] = ontoscore
+                    raised.append((ordinal, dewey, ontoscore))
+        raised.sort()  # ordinals are unique: Dewey IDs never compared
+        for _, dewey, ontoscore in raised:
+            scores[dewey] = ontoscore
         if self._node_weights is not None:
             scores = {dewey: value * self._node_weights.get(dewey, 1.0)
                       for dewey, value in scores.items()}

@@ -11,7 +11,8 @@ properties the XRANK/XOntoRank machinery relies on:
   common ancestor (when it is longer than just the document component).
 
 IDs are immutable value objects, ordered, hashable, and have a compact
-string form (``"7.0.2.1"``) used by the persistent stores.
+string form (``"7.0.2.1"``) used by the persistent stores. Because they
+are immutable, an ID computes its hash and its string form at most once.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @total_ordering
 class DeweyID:
-    """Immutable Dewey identifier: a document ID plus a component path."""
+    """Immutable Dewey identifier: a document ID plus a component path.
 
-    __slots__ = ("doc_id", "path")
+    ``_hash`` and ``_encoded`` memoize :meth:`__hash__` and
+    :meth:`encode` on first use; they are derived state, never pickled.
+    """
+
+    __slots__ = ("doc_id", "path", "_hash", "_encoded")
 
     def __init__(self, doc_id: int, path: Iterable[int] = ()) -> None:
         if doc_id < 0:
@@ -37,6 +42,8 @@ class DeweyID:
             raise ValueError("Dewey components must be non-negative")
         self.doc_id = doc_id
         self.path = path
+        self._hash: int | None = None
+        self._encoded: str | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -55,7 +62,11 @@ class DeweyID:
 
     def encode(self) -> str:
         """Compact dotted-decimal form, e.g. ``'7.0.2.1'``."""
-        return ".".join(str(part) for part in (self.doc_id, *self.path))
+        encoded = self._encoded
+        if encoded is None:
+            encoded = self._encoded = ".".join(
+                map(str, (self.doc_id, *self.path)))
+        return encoded
 
     def child(self, position: int) -> "DeweyID":
         """Dewey ID of the child at the given sibling position."""
@@ -130,7 +141,13 @@ class DeweyID:
         return self._key() < other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._key())
+        return value
+
+    def __reduce__(self):
+        return (type(self), (self.doc_id, self.path))
 
     def __repr__(self) -> str:
         return f"DeweyID({self.encode()!r})"

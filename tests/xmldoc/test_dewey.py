@@ -1,5 +1,7 @@
 """Unit tests for Dewey IDs (Section V, Figure 9)."""
 
+import pickle
+
 import pytest
 
 from repro.xmldoc.dewey import (DeweyID, assign_dewey_ids, document_order,
@@ -79,6 +81,46 @@ class TestDeweyID:
 
     def test_eq_other_type(self):
         assert DeweyID(0) != "0"
+
+
+class TestMemo:
+    """The hash and the dotted form are memoized; the memo is derived
+    state and never changes what an ID means."""
+
+    @staticmethod
+    def memoized(doc_id, path):
+        dewey = DeweyID(doc_id, path)
+        hash(dewey)
+        dewey.encode()
+        return dewey
+
+    def test_memoized_and_fresh_ids_are_interchangeable(self):
+        memo = self.memoized(4, (0, 2))
+        fresh = DeweyID(4, (0, 2))
+        assert memo == fresh and fresh == memo
+        assert hash(memo) == hash(fresh)
+        assert len({memo, fresh}) == 1
+        assert memo.encode() == fresh.encode() == "4.0.2"
+        later, earlier = self.memoized(4, (0, 3)), DeweyID(4, (0,))
+        assert sorted([later, memo, earlier]) == \
+            sorted([DeweyID(4, (0, 3)), fresh, earlier])
+        assert earlier < memo < later and not memo < fresh
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pickle_round_trip(self, warm):
+        dewey = self.memoized(12, (3, 0, 7)) if warm \
+            else DeweyID(12, (3, 0, 7))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(dewey, protocol))
+            assert restored == dewey
+            assert hash(restored) == hash(dewey)
+            assert restored.encode() == dewey.encode() == "12.3.0.7"
+
+    def test_no_instance_dict(self):
+        dewey = self.memoized(0, (1,))
+        assert not hasattr(dewey, "__dict__")
+        with pytest.raises(AttributeError):
+            dewey.extra = 1
 
 
 class TestAssignment:
