@@ -2,21 +2,15 @@
 
 The paper's future work calls out "scaling to larger ontologies and
 datasets"; this benchmark sweeps the corpus size and reports index-
-build time for a fixed keyword set (serial and on the parallel worker
-pool) plus average query latency, so the growth trend (expected:
-roughly linear in corpus size for both) is visible and regressions are
-catchable. The parallel build must produce the identical index at
-every tier -- the differential suite's contract, re-checked here at
-benchmark scale -- and on multi-core hosts the largest tier must show
-at least a 1.5x build speedup.
+build time for a fixed keyword set plus average query latency, so the
+growth trend (expected: roughly linear in corpus size for both) is
+visible and regressions are catchable.
 """
 
-import os
 import time
 
 from repro import RELATIONSHIPS, XOntoRankEngine
 from repro.cda import build_cda_corpus
-from repro.core.index.parallel import ParallelIndexBuilder
 from repro.emr import generate_cardiac_emr
 
 from conftest import record_result
@@ -25,10 +19,6 @@ SIZES = (10, 20, 40)
 KEYWORDS = ("asthma", "arrest", "amiodarone", "effusion", "fever")
 QUERIES = ("asthma theophylline", '"cardiac arrest" amiodarone',
            "fever acetaminophen")
-PARALLEL_WORKERS = 4
-#: Vocabulary slice for the serial-vs-parallel comparison: big enough
-#: to amortize pool startup, the same slice at every tier.
-VOCAB_SLICE = 200
 
 
 def sweep(ontology, terminology):
@@ -42,41 +32,6 @@ def sweep(ontology, terminology):
         started = time.perf_counter()
         index = engine.builder.build(KEYWORDS)
         build_seconds = time.perf_counter() - started
-        # Serial vs parallel over a vocabulary slice large enough to
-        # amortize pool startup (the 5-keyword build above is kept for
-        # continuity with recorded results).
-        from repro.core.index.vocabulary import corpus_vocabulary
-        vocabulary = sorted(corpus_vocabulary(corpus))[:VOCAB_SLICE]
-        started = time.perf_counter()
-        serial_index = engine.builder.build(vocabulary)
-        serial_seconds = time.perf_counter() - started
-        parallel_builder = ParallelIndexBuilder(
-            engine.builder, workers=PARALLEL_WORKERS, mode="process")
-        started = time.perf_counter()
-        parallel_index = parallel_builder.build(vocabulary)
-        parallel_seconds = time.perf_counter() - started
-        # The measured cost model: ``auto`` probes the first chunk and
-        # projects fork overhead against the remaining serial cost, so
-        # its choice (recorded per tier) should track whichever fixed
-        # mode wins at this corpus size.
-        auto_builder = ParallelIndexBuilder(
-            engine.builder, workers=PARALLEL_WORKERS, mode="auto")
-        started = time.perf_counter()
-        auto_index = auto_builder.build(vocabulary)
-        auto_seconds = time.perf_counter() - started
-        snapshot = auto_builder.registry.snapshot()
-        auto_mode = next(
-            (name.rsplit(".", 1)[1] for name, count in snapshot.items()
-             if name.startswith("parallel_build.mode.") and count),
-            "?")
-        # Determinism contract at every tier, for both pool flavors.
-        assert serial_index.keywords() == parallel_index.keywords()
-        assert serial_index.keywords() == auto_index.keywords()
-        for key in serial_index.keywords():
-            assert serial_index.lists[key].encoded() == \
-                parallel_index.lists[key].encoded()
-            assert serial_index.lists[key].encoded() == \
-                auto_index.lists[key].encoded()
         for query in QUERIES:  # warm DIL cache for the query phase
             engine.search(query, k=10)
         started = time.perf_counter()
@@ -87,26 +42,16 @@ def sweep(ontology, terminology):
         query_ms = ((time.perf_counter() - started)
                     / (repetitions * len(QUERIES)) * 1000.0)
         rows.append((size, corpus.total_nodes(), build_seconds * 1000.0,
-                     serial_seconds * 1000.0, parallel_seconds * 1000.0,
-                     auto_seconds * 1000.0, auto_mode,
                      index.total_postings(), query_ms))
     return rows
 
 
 def render(rows):
-    lines = ["SCALABILITY -- corpus size vs cost (Relationships, "
-             f"{PARALLEL_WORKERS} workers, {os.cpu_count() or 1} cores, "
-             f"{VOCAB_SLICE}-word parallel slice)",
+    lines = ["SCALABILITY -- corpus size vs cost (Relationships)",
              f"{'patients':>9}{'elements':>10}{'build (ms)':>12}"
-             f"{'serial (ms)':>13}{'par (ms)':>10}{'auto (ms)':>11}"
-             f"{'auto mode':>11}{'speedup':>9}"
              f"{'postings':>10}{'query (ms)':>12}"]
-    for (size, elements, build_ms, serial_ms, par_ms, auto_ms,
-         auto_mode, postings, query_ms) in rows:
-        speedup = serial_ms / par_ms if par_ms else float("inf")
+    for size, elements, build_ms, postings, query_ms in rows:
         lines.append(f"{size:>9}{elements:>10}{build_ms:>12.1f}"
-                     f"{serial_ms:>13.1f}{par_ms:>10.1f}"
-                     f"{auto_ms:>11.1f}{auto_mode:>11}{speedup:>9.2f}"
                      f"{postings:>10}{query_ms:>12.2f}")
     return "\n".join(lines) + "\n"
 
@@ -117,18 +62,8 @@ def test_scalability_sweep(benchmark, bench_ontology, bench_terminology):
                               rounds=1, iterations=1)
     record_result("scalability", render(rows))
     # Postings grow with the corpus.
-    postings = [row[7] for row in rows]
+    postings = [row[3] for row in rows]
     assert postings == sorted(postings)
     # Element counts grow with patients.
     elements = [row[1] for row in rows]
     assert elements == sorted(elements)
-    # The measured cost model always resolves to a real pool flavor.
-    assert all(row[6] in ("thread", "process", "serial")
-               for row in rows)
-    # On multi-core hosts the largest tier must benefit from the pool
-    # (>= 4 cores: with fewer, pool startup eats the theoretical 2x).
-    if (os.cpu_count() or 1) >= 4:
-        serial_ms, par_ms = rows[-1][3], rows[-1][4]
-        assert serial_ms / par_ms >= 1.5, (
-            f"largest-tier parallel speedup {serial_ms / par_ms:.2f}x "
-            f"below 1.5x")

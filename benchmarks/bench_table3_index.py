@@ -14,13 +14,11 @@ Qualitative targets from the paper's prose:
   direction expands much further than Graph's 3-hop radius).
 """
 
-import os
 import random
 import time
 
 from repro.cda import build_cda_corpus
 from repro.core.config import ALL_STRATEGIES, RELATIONSHIPS
-from repro.core.index.parallel import ParallelIndexBuilder
 from repro.core.index.vocabulary import experiment_vocabulary
 from repro.core.obs import Tracer, render_profile
 from repro.core.query.engine import XOntoRankEngine
@@ -34,7 +32,6 @@ from conftest import EMR_SEED, record_result
 
 SAMPLE_SIZE = 120
 SAMPLE_SEED = 13
-PARALLEL_WORKERS = 4
 
 
 def keyword_sample(corpus, ontology):
@@ -86,69 +83,6 @@ def test_table3_index_creation(benchmark, bench_engines, bench_corpus,
     for name in ALL_STRATEGIES:
         assert (stats[name]["size_kb"] > 0) == \
             (stats[name]["postings"] > 0)
-
-
-def test_table3_parallel_build(benchmark, bench_engines, bench_corpus,
-                               bench_ontology):
-    """Serial vs parallel build of the costliest strategy's index,
-    swept over growing keyword tiers up to the full experiment
-    vocabulary.
-
-    The determinism contract (identical DILs) is asserted at every
-    tier; the wall-clock speedup only on the largest tier and only
-    where it is physically possible -- a process pool on a multi-core
-    host (>= 4 cores; with fewer, pool startup eats the theoretical
-    gain). On one core the comparison is still recorded so the
-    overhead stays visible.
-    """
-    vocabulary = sorted(experiment_vocabulary(bench_corpus,
-                                              bench_ontology, radius=2))
-    tiers = [tier for tier in (120, 480, len(vocabulary))
-             if tier <= len(vocabulary)]
-    engine = bench_engines[RELATIONSHIPS]
-    parallel_builder = ParallelIndexBuilder(
-        engine.builder, workers=PARALLEL_WORKERS, mode="process")
-
-    def compare():
-        results = []
-        for tier in tiers:
-            keywords = vocabulary[:tier]
-            started = time.perf_counter()
-            serial = engine.builder.build(keywords,
-                                          strategy_name=RELATIONSHIPS)
-            serial_s = time.perf_counter() - started
-            started = time.perf_counter()
-            parallel = parallel_builder.build(
-                keywords, strategy_name=RELATIONSHIPS)
-            parallel_s = time.perf_counter() - started
-            results.append((tier, serial, serial_s, parallel,
-                            parallel_s))
-        return results
-
-    results = benchmark.pedantic(compare, rounds=1, iterations=1)
-
-    cores = os.cpu_count() or 1
-    lines = [
-        f"PARALLEL BUILD -- relationships, {PARALLEL_WORKERS} workers, "
-        f"{cores} cores",
-        f"{'keywords':>10}{'serial (s)':>12}{'parallel (s)':>14}"
-        f"{'speedup':>10}",
-    ]
-    for tier, serial, serial_s, parallel, parallel_s in results:
-        # Determinism contract: byte-identical posting lists per tier.
-        assert serial.keywords() == parallel.keywords()
-        for key in serial.keywords():
-            assert serial.lists[key].encoded() == \
-                parallel.lists[key].encoded()
-        speedup = serial_s / parallel_s if parallel_s else float("inf")
-        lines.append(f"{tier:>10}{serial_s:>12.3f}{parallel_s:>14.3f}"
-                     f"{speedup:>10.2f}")
-    record_result("table3_parallel_build", "\n".join(lines) + "\n")
-    if cores >= 4:
-        _, _, serial_s, _, parallel_s = results[-1]
-        assert serial_s / parallel_s >= 1.5, (
-            f"largest-tier parallel speedup {serial_s / parallel_s:.2f}x "
-            f"below 1.5x on {cores} cores")
 
 
 def test_table3_incremental_append(benchmark, bench_ontology,
@@ -217,38 +151,36 @@ def test_table3_incremental_append(benchmark, bench_ontology,
 
 
 def test_table3_build_phase_breakdown(bench_corpus, bench_ontology):
-    """Per-phase profile of a parallel Relationships build.
+    """Per-phase profile of a Relationships build into a store.
 
-    Decomposes Table III's creation-time column: worker-side shard
-    build wall time (``parallel_build.shard_build``) versus the
-    parent's merge cost (``index.merge_shard`` spans), recorded the
-    same way ``build-index --profile`` reports it.
+    Decomposes Table III's creation-time column the same way
+    ``build-index --profile`` reports it: the whole build
+    (``index.serial_build``), one ``index.build_keyword`` span per
+    keyword with its OntoScore expansion (``ontoscore.expand``) and
+    node scoring (``index.node_scores``) nested inside, then the store
+    write (``storage.save_index``).
     """
     tracer = Tracer(capacity=65536)
     engine = XOntoRankEngine(bench_corpus, bench_ontology,
                              strategy=RELATIONSHIPS, tracer=tracer)
     keywords = keyword_sample(bench_corpus, bench_ontology)
-    parallel_builder = ParallelIndexBuilder(
-        engine.builder, workers=PARALLEL_WORKERS, mode="process",
-        stats=engine.stats, tracer=tracer)
-    index = parallel_builder.build(keywords,
-                                   strategy_name=RELATIONSHIPS)
+    index = engine.build_index(vocabulary=keywords, store=MemoryStore())
     assert index.keywords()
     profile = render_profile(engine.stats, tracer)
     record_result("table3_build_phase_breakdown", profile + "\n")
 
     timers = engine.stats.timers()
-    shards = engine.stats.snapshot()["parallel_build.shards_merged"]
-    assert shards > 0
-    # Every shard contributes a worker-side build timing and a
-    # parent-side merge span.
-    assert timers["parallel_build.shard_build"].count == shards
-    assert timers["index.merge_shard"].count == shards
-    assert timers["index.parallel_build"].count == 1
-    # Worker build time dominates the merge (merging is a decode+dict
-    # insert; building runs OntoScore expansion per keyword).
-    assert timers["parallel_build.shard_build"].total > \
-        timers["index.merge_shard"].total
+    assert timers["index.serial_build"].count == 1
+    assert timers["storage.save_index"].count == 1
+    assert timers["index.build_keyword"].count == len(index)
+    assert timers["index.node_scores"].count == len(index)
+    assert 0 < timers["ontoscore.expand"].count <= len(index)
+    # Per-keyword spans nest inside the build span, and the expansion
+    # inside its keyword's span.
+    assert timers["index.build_keyword"].total <= \
+        timers["index.serial_build"].total
+    assert timers["ontoscore.expand"].total <= \
+        timers["index.build_keyword"].total
 
 
 ONTOLOGY_DECADES = (1_000, 10_000, 100_000)

@@ -27,9 +27,9 @@ Quickstart::
 
 from .core import (ALL_STRATEGIES, DEFAULT_CONFIG, GRAPH,
                    ONTOLOGY_STRATEGIES, RELATIONSHIPS, TAXONOMY, XRANK,
-                   DILCache, FederatedEngine, IndexManager,
-                   ParallelIndexBuilder, QueryPipeline, QueryResult,
-                   XOntoRankConfig, XOntoRankEngine, build_engines)
+                   DILCache, FederatedEngine, IndexManager, QueryPipeline,
+                   QueryResult, XOntoRankConfig, XOntoRankEngine,
+                   build_engines)
 from .ir import Keyword, KeywordQuery
 from .xmldoc import ShardedCorpus
 
@@ -38,8 +38,8 @@ __version__ = "1.2.0"
 __all__ = [
     "ALL_STRATEGIES", "DEFAULT_CONFIG", "DILCache", "FederatedEngine",
     "GRAPH", "IndexManager", "Keyword", "KeywordQuery",
-    "ONTOLOGY_STRATEGIES", "ParallelIndexBuilder", "QueryPipeline",
-    "QueryResult", "RELATIONSHIPS", "ShardedCorpus", "TAXONOMY",
+    "ONTOLOGY_STRATEGIES", "QueryPipeline", "QueryResult",
+    "RELATIONSHIPS", "ShardedCorpus", "TAXONOMY",
     "XOntoRankConfig", "XOntoRankEngine", "XRANK", "build_engines",
     "__version__",
 ]

@@ -17,17 +17,17 @@ Four subcommands mirror the system's phases::
         build (--target-concepts 100000 never materializes the graph).
 
     python -m repro index --data DIR --store FILE.db
-        [--strategy relationships] [--radius 2] [--workers N]
+        [--strategy relationships] [--radius 2]
         [--store-format sqlite|mmap] [--append] [--ontology-cache F.db]
         [--profile] [--metrics-out F.jsonl] [--trace-out F.json]
         Pre-processing phase: build XOnto-DILs for the experiment
         vocabulary and persist them (plus the documents). The default
         backend is SQLite; ``--store-format mmap`` writes the compact
         memory-mapped container instead (read-only, O(1) open, shared
-        OS page cache -- see docs/STORAGE.md). ``--workers N`` (N > 1)
-        builds on a worker pool; the persisted index is identical to
-        the serial build. ``build-index`` is an alias for this
-        subcommand. ``search``/``serve``/``verify-index`` detect the
+        OS page cache -- see docs/STORAGE.md). The build is serial;
+        ``--shards N --shard-workers M`` is how it runs in parallel.
+        ``build-index`` is an alias for this subcommand.
+        ``search``/``serve``/``verify-index`` detect the
         backend from the file itself; no flag is needed to read.
 
         With ``--ontology-cache F.db`` OntoScore expansions are read
@@ -395,17 +395,12 @@ def command_index(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         stores = [stack.enter_context(
             _atomic_build(path, args.store_format)) for path in paths]
-        index = engine.build_index(radius=args.radius, stores=stores,
-                                   workers=args.workers)
-        workers = stores[0].get_metadata("build_workers")
-        mode = stores[0].get_metadata("build_mode")
-        chunks = stores[0].get_metadata("build_chunks")
+        index = engine.build_index(radius=args.radius, stores=stores)
         checksum = stores[0].get_metadata(CHECKSUM_KEY_PREFIX
                                           + args.strategy) or ""
     print(f"built {len(index)} XOnto-DILs "
           f"({index.total_postings()} postings, "
           f"{index.total_size_bytes() / 1024:.1f} KB) -> {destination}")
-    print(f"build: workers={workers} mode={mode} chunks={chunks}")
     print(f"manifest: complete checksum={checksum[:12]} "
           f"(audit with `python -m repro verify-index "
           f"--store {paths[0]}`)")
@@ -755,9 +750,11 @@ def _positive_int(text: str) -> int:
     return _bounded_int(text, 1, "positive")
 
 
-def _cache_size(text: str) -> int:
-    """Argparse type for ``--cache-size``: 0 is valid (it disables the
-    DIL cache), negatives are a usage error."""
+def _non_negative_int(text: str) -> int:
+    """Argparse type for counts where 0 is meaningful (``--cache-size
+    0`` disables the DIL cache, ``--retries 0`` disables retrying,
+    ``--radius 0`` keeps only referenced concepts): negatives are a
+    usage error."""
     return _bounded_int(text, 0, "non-negative")
 
 
@@ -776,10 +773,11 @@ def _add_shard_flags(parser: argparse.ArgumentParser,
 
 
 def _add_read_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-size", type=_cache_size, default=None,
+    parser.add_argument("--cache-size", type=_non_negative_int,
+                        default=None,
                         help="bound the DIL cache to N lists (LRU); "
                              "default keeps every list")
-    parser.add_argument("--retries", type=int, default=2,
+    parser.add_argument("--retries", type=_non_negative_int, default=2,
                         help="retry budget for transient store faults "
                              "(0 disables retrying; a request deadline "
                              "also bounds it when serving)")
@@ -841,11 +839,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistence backend: sqlite (appendable, "
                             "default) or mmap (compact read-only "
                             "container; O(1) open, shared page cache)")
-    index.add_argument("--radius", type=int, default=2,
+    index.add_argument("--radius", type=_non_negative_int, default=2,
                        help="ontology vocabulary radius (Section VII-B)")
-    index.add_argument("--workers", type=int, default=1,
-                       help="worker-pool size for the build "
-                            "(1 = serial; result is identical)")
+    # Inert shim: accepted and ignored because benchmarks/e2e/building.py
+    # still runs `index --workers 2`. It goes when ROADMAP item 1's
+    # [benchmark] PR drops index.build.workers2_wall_s.
+    index.add_argument("--workers", type=_positive_int, default=1,
+                       help=argparse.SUPPRESS)
     index.add_argument("--ontology-cache", default=None, metavar="FILE",
                        help="read OntoScore expansions through a "
                             "persisted cache at FILE (SQLite), keyed "

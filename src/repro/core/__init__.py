@@ -11,8 +11,8 @@ from .config import (ALL_STRATEGIES, DEFAULT_CONFIG, GRAPH,
                      XOntoRankConfig)
 from .elemrank import ElemRankComputer, ElemRankParameters
 from .index import (DeweyInvertedList, IndexBuilder, IndexManager,
-                    KeywordBuildStats, ParallelIndexBuilder, Posting,
-                    XOntoDILIndex, index_key, keyword_from_key)
+                    KeywordBuildStats, Posting, XOntoDILIndex, index_key,
+                    keyword_from_key)
 from .stats import CacheStats, StatsRegistry
 from .ontoscore import (GraphOntoScore, MaterializedRelationshipsOntoScore,
                         NullOntoScore, OntoScoreComputer,
@@ -37,7 +37,7 @@ __all__ = [
     "IndexBuilder", "IndexManager", "KeywordBuildStats",
     "MaterializedRelationshipsOntoScore", "NaiveEvaluator",
     "NodeScorer", "NullOntoScore", "ONTOLOGY_STRATEGIES",
-    "OntoScoreComputer", "ParallelIndexBuilder", "Posting",
+    "OntoScoreComputer", "Posting",
     "QueryPipeline", "QueryResult", "RELATIONSHIPS",
     "RelationshipsOntoScore", "SeedScorer", "StatsRegistry", "TAXONOMY",
     "TaxonomyOntoScore", "XOntoDILIndex", "XOntoRankConfig",

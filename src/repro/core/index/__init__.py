@@ -5,18 +5,15 @@ from .builder import IndexBuilder
 from .dil import (DeweyInvertedList, KeywordBuildStats, Posting,
                   XOntoDILIndex, index_key, keyword_from_key)
 from .manager import IndexManager, memoized_corpus_fingerprint
-from .parallel import (FORK_OVERHEAD_SECONDS, PROCESS_MODE_THRESHOLD,
-                       ParallelIndexBuilder, choose_mode)
 from .segments import SegmentLifecycle, compact_store
 from .vocabulary import (concept_vocabulary, concepts_within_radius,
                          corpus_vocabulary, experiment_vocabulary,
                          full_vocabulary, referenced_concepts)
 
 __all__ = [
-    "DeweyInvertedList", "FORK_OVERHEAD_SECONDS", "IndexBuilder",
-    "IndexManager", "KeywordBuildStats", "PROCESS_MODE_THRESHOLD",
-    "ParallelIndexBuilder", "Posting", "SegmentLifecycle",
-    "XOntoDILIndex", "choose_mode", "compact_store",
+    "DeweyInvertedList", "IndexBuilder", "IndexManager",
+    "KeywordBuildStats", "Posting", "SegmentLifecycle", "XOntoDILIndex",
+    "compact_store",
     "concept_vocabulary", "concepts_within_radius", "corpus_vocabulary",
     "experiment_vocabulary", "full_vocabulary", "index_key",
     "keyword_from_key", "memoized_corpus_fingerprint",

@@ -1,9 +1,8 @@
 """The Index Creation Module's lifecycle owner (paper Figure 8).
 
 :class:`IndexManager` owns everything about one strategy's XOnto-DIL
-index *except* query execution: building (serial or through the
-:class:`~repro.core.index.parallel.ParallelIndexBuilder`), persistence
-into an :class:`~repro.storage.interface.IndexStore` with the crash-safe
+index *except* query execution: building, persistence into an
+:class:`~repro.storage.interface.IndexStore` with the crash-safe
 manifest protocol, validated loading with per-keyword degraded rebuilds,
 and the bounded query-time :class:`~repro.core.cache.DILCache`. The
 :class:`~repro.core.query.engine.XOntoRankEngine` facade delegates its
@@ -42,7 +41,6 @@ from ..stats import (CODEC_LAZY_LISTS, CODEC_RAW_FALLBACKS,
 from .builder import IndexBuilder
 from .dil import (DeweyInvertedList, XOntoDILIndex, index_key,
                   keyword_from_key)
-from .parallel import ParallelIndexBuilder
 from .segments import SegmentLifecycle
 from .vocabulary import default_vocabulary
 
@@ -255,21 +253,13 @@ class IndexManager:
     # ------------------------------------------------------------------
     def build_index(self, vocabulary: Iterable[str] | None = None,
                     radius: int = 2,
-                    store: IndexStore | None = None,
-                    workers: int | None = None,
-                    parallel_mode: str = "auto") -> XOntoDILIndex:
+                    store: IndexStore | None = None) -> XOntoDILIndex:
         """Pre-build DILs for a whole vocabulary (Section V-B).
 
         Without an explicit vocabulary, ontology-aware strategies use
         the paper's experimental rule (document words plus concepts
         within ``radius`` relationships of referenced concepts); the
         XRANK baseline indexes the document words.
-
-        With ``workers > 1`` the vocabulary is built on a worker pool
-        (see :class:`~repro.core.index.parallel.ParallelIndexBuilder`);
-        the result is guaranteed identical to the serial build, and
-        with a ``store`` the shards are streamed into it as they
-        complete.
         """
         if vocabulary is None:
             vocabulary = default_vocabulary(
@@ -283,51 +273,31 @@ class IndexManager:
             # completion marker is re-set only by finalize_manifest
             # after everything else has been written.
             store_manifest.mark_build_started(store)
-        build_stats = StatsRegistry()
-        if workers is not None and workers > 1:
-            parallel = ParallelIndexBuilder(
-                self.builder, workers=workers, mode=parallel_mode,
-                stats=build_stats, tracer=self.tracer)
-            index = parallel.build(vocabulary,
-                                   strategy_name=self.strategy,
-                                   store=store)
-        else:
-            with self.tracer.span("index.serial_build",
-                                  keywords=len(vocabulary)):
-                index = self.builder.build(vocabulary,
-                                           strategy_name=self.strategy)
-            if store is not None:
-                with self.tracer.span("storage.save_index"):
-                    index.save(store)
+        with self.tracer.span("index.serial_build",
+                              keywords=len(vocabulary)):
+            index = self.builder.build(vocabulary,
+                                       strategy_name=self.strategy)
+        if store is not None:
+            with self.tracer.span("storage.save_index"):
+                index.save(store)
         for key, dil in index.lists.items():
             keyword = keyword_from_key(key)
             self.dil_cache.put((keyword.text, keyword.is_phrase), dil)
         if store is not None:
-            self._persist_corpus_and_manifest(store, build_stats,
-                                              workers)
+            self._persist_corpus_and_manifest(store)
         return index
 
-    def _persist_corpus_and_manifest(self, store: IndexStore,
-                                     build_stats: StatsRegistry,
-                                     workers: int | None) -> None:
+    def _persist_corpus_and_manifest(self, store: IndexStore) -> None:
         document_texts = []
         for document in self.corpus:
             text = serialize(document)
             store.put_document(document.doc_id, text)
             document_texts.append((document.doc_id, text))
-        chunks = build_stats.value("parallel_build.chunks")
-        mode = next(
-            (name.rsplit(".", 1)[1]
-             for name in build_stats.snapshot()
-             if name.startswith("parallel_build.mode.")), "serial")
         store.put_metadata_many([
             ("strategy", self.strategy),
             ("decay", str(self.config.decay)),
             ("threshold", str(self.config.threshold)),
-            ("t", str(self.config.t)),
-            ("build_workers", str(workers if workers else 1)),
-            ("build_chunks", str(chunks or 1)),
-            ("build_mode", mode)])
+            ("t", str(self.config.t))])
         store_manifest.finalize_manifest(
             store, self.strategy,
             memoized_corpus_fingerprint(self.corpus, document_texts))

@@ -39,7 +39,7 @@ PHASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("dil_merge", ("query.dil_merge",)),
     ("storage", ("storage.",)),
     ("dil_fetch", ("query.dil_fetch", "dil_cache.")),
-    ("index_build", ("index.", "parallel_build.")),
+    ("index_build", ("index.",)),
     ("query_total", ("query.search",)),
 )
 

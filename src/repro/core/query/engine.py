@@ -382,14 +382,15 @@ class XOntoRankEngine(SearchEngine):
     def build_index(self, vocabulary: set[str] | None = None,
                     radius: int = 2,
                     store: IndexStore | None = None,
-                    workers: int | None = None,
-                    parallel_mode: str = "auto") -> XOntoDILIndex:
+                    workers: int | None = None) -> XOntoDILIndex:
         """Pre-build DILs for a whole vocabulary (Section V-B); see
         :meth:`IndexManager.build_index
         <repro.core.index.manager.IndexManager.build_index>`."""
+        # Inert shim: ``workers`` is accepted and ignored because
+        # benchmarks/e2e/building.py still passes workers=1. It goes when
+        # ROADMAP item 1's [benchmark] PR drops index.build.workers2_wall_s.
         return self.index_manager.build_index(
-            vocabulary=vocabulary, radius=radius, store=store,
-            workers=workers, parallel_mode=parallel_mode)
+            vocabulary=vocabulary, radius=radius, store=store)
 
     def load_index(self, store: IndexStore, *, validate: bool = True,
                    fallback: bool = True) -> int:

@@ -355,8 +355,7 @@ class FederatedEngine(SearchEngine):
     def build_index(self, vocabulary: set[str] | None = None,
                     radius: int = 2,
                     stores: Sequence[IndexStore] | None = None,
-                    workers: int | None = None,
-                    parallel_mode: str = "auto") -> XOntoDILIndex:
+                    ) -> XOntoDILIndex:
         """Build every shard's index (optionally into per-shard stores)
         and return the re-combined global index.
 
@@ -377,8 +376,7 @@ class FederatedEngine(SearchEngine):
             shard_indices = self._fan_out(
                 lambda engine, shard: engine.build_index(
                     vocabulary=vocabulary,
-                    store=stores[shard] if stores is not None else None,
-                    workers=workers, parallel_mode=parallel_mode))
+                    store=stores[shard] if stores is not None else None))
         return self._combine(shard_indices)
 
     def _combine(self,

@@ -1,15 +1,15 @@
 """Lightweight runtime instrumentation (counters + timers for hot paths).
 
 The production north star needs the hot paths to be *observable*: the
-bounded DIL cache (:mod:`repro.core.cache`) and the parallel index
-builder (:mod:`repro.core.index.parallel`) report what they did through
-a :class:`StatsRegistry` -- a thread-safe named-instrument map -- so the
-CLI and the benchmarks can print hit rates and shard counts without
+bounded DIL cache (:mod:`repro.core.cache`) and the segment lifecycle
+(:mod:`repro.core.index.segments`) report what they did through a
+:class:`StatsRegistry` -- a thread-safe named-instrument map -- so the
+CLI and the benchmarks can print hit rates and segment counts without
 reaching into private state.
 
 Two instrument kinds, both one lock acquisition per update, both safe
-to share across the worker threads of a parallel build or the request
-threads of a server front-end:
+to share across the shard fan-out threads of a federated engine or the
+request threads of a server front-end:
 
 * **counters** -- named monotonic integers (:meth:`increment`, plus
   :meth:`increment_many` to land a whole batch under one acquisition);
@@ -229,7 +229,7 @@ class StatsRegistry:
     def increment_many(self, amounts: Mapping[str, int]) -> None:
         """Add every ``name -> amount`` under one lock acquisition.
 
-        The batch API for hot loops (e.g. a parallel-build shard flush)
+        The batch API for hot loops (e.g. a query's top-k counters)
         where per-counter locking would otherwise dominate: N counters
         cost one acquisition instead of N.
         """

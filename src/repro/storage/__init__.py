@@ -5,8 +5,7 @@ and fault-injection decorators)."""
 from .errors import (CorruptIndexError, IncompatibleIndexError,
                      StorageError, TransientStorageError)
 from .faults import FaultInjectingStore
-from .interface import (PROVENANCE_METADATA_KEYS, EncodedPosting,
-                        IndexStore, canonical_dump)
+from .interface import EncodedPosting, IndexStore, canonical_dump
 from .manifest import (BUILD_COMPLETE_KEY, CHECKSUM_KEY_PREFIX,
                        CORPUS_FINGERPRINT_KEY, ManifestReport,
                        atomic_sqlite_build, corpus_fingerprint,
@@ -30,7 +29,7 @@ __all__ = [
     "CORPUS_FINGERPRINT_KEY", "CorruptIndexError", "EncodedPosting",
     "FaultInjectingStore", "IncompatibleIndexError", "IndexStore",
     "ManifestReport", "MemoryStore", "MmapStore", "MmapStoreWriter",
-    "PROVENANCE_METADATA_KEYS", "PostingBlock", "RetryingStore",
+    "PostingBlock", "RetryingStore",
     "SQLiteStore", "SegmentCatalog", "SegmentRecord", "SegmentView",
     "StorageError", "TransientStorageError", "UnencodablePostings",
     "atomic_mmap_build", "atomic_sqlite_build", "canonical_dump",

@@ -22,18 +22,11 @@ from .errors import (CorruptIndexError, IncompatibleIndexError,
                      StorageError, TransientStorageError)
 
 __all__ = ["CorruptIndexError", "EncodedPosting", "IncompatibleIndexError",
-           "IndexStore", "PROVENANCE_METADATA_KEYS", "StorageError",
-           "TransientStorageError", "canonical_dump"]
+           "IndexStore", "StorageError", "TransientStorageError",
+           "canonical_dump"]
 
 #: Encoded posting: (dotted-decimal Dewey ID, node score).
 EncodedPosting = tuple[str, float]
-
-#: Metadata keys recording *how* an index was built (worker count,
-#: shard count, pool mode). Excluded from :func:`canonical_dump` --
-#: they legitimately differ between a serial and a parallel build of
-#: the same index, while everything else must be identical.
-PROVENANCE_METADATA_KEYS = frozenset(
-    {"build_workers", "build_chunks", "build_mode"})
 
 
 class IndexStore(ABC):
@@ -142,16 +135,13 @@ class IndexStore(ABC):
         self.close()
 
 
-def canonical_dump(store: IndexStore, strategies: Sequence[str],
-                   include_provenance: bool = False) -> bytes:
+def canonical_dump(store: IndexStore, strategies: Sequence[str]) -> bytes:
     """A deterministic byte serialization of a store's contents.
 
     Two stores hold the same index if and only if their dumps are
     byte-identical, regardless of backend (memory vs SQLite), page
     layout or insertion order -- the comparison form of the
-    parallel-vs-serial determinism contract. Build-provenance metadata
-    (:data:`PROVENANCE_METADATA_KEYS`) is excluded unless requested,
-    since worker counts may differ between equivalent builds.
+    differential suites.
 
     A segmented store (one holding a ``segments.catalog``) is dumped
     through its *logical* view -- live segments merged, tombstoned
@@ -169,10 +159,9 @@ def canonical_dump(store: IndexStore, strategies: Sequence[str],
                  for doc_id in store.document_ids()}
     metadata: dict[str, str] = {}
     for key in sorted(store.metadata_keys()):
-        if include_provenance or key not in PROVENANCE_METADATA_KEYS:
-            value = store.get_metadata(key)
-            if value is not None:
-                metadata[key] = value
+        value = store.get_metadata(key)
+        if value is not None:
+            metadata[key] = value
     payload = {"postings": postings, "documents": documents,
                "metadata": metadata}
     return json.dumps(payload, sort_keys=True,

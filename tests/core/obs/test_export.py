@@ -36,8 +36,7 @@ class TestPhaseOf:
         assert phase_of("query.dil_merge") == "dil_merge"
         assert phase_of("storage.sqlite.read") == "storage"
         assert phase_of("dil_cache.build") == "dil_fetch"
-        assert phase_of("index.merge_shard") == "index_build"
-        assert phase_of("parallel_build.shard_build") == "index_build"
+        assert phase_of("index.serial_build") == "index_build"
         assert phase_of("query.search") == "query_total"
 
     def test_unknown_names_roll_up_nowhere(self):

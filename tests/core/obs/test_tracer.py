@@ -117,8 +117,8 @@ class TestRegistryIntegration:
     def test_observe_delegates_to_registry(self):
         registry = StatsRegistry()
         tracer = Tracer(registry=registry)
-        tracer.observe("parallel_build.shard_build", 1.5)
-        assert registry.timer("parallel_build.shard_build").count == 1
+        tracer.observe("index.serial_build", 1.5)
+        assert registry.timer("index.serial_build").count == 1
 
     def test_registry_attachable_after_construction(self):
         clock, tracer = manual_tracer()

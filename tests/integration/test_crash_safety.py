@@ -156,8 +156,7 @@ def run_killed_inside(method: str, arguments) -> None:
 
 def logical_dump(store_path: str) -> bytes:
     with SQLiteStore(store_path, read_only=True) as store:
-        return canonical_dump(store, [RELATIONSHIPS],
-                              include_provenance=True)
+        return canonical_dump(store, [RELATIONSHIPS])
 
 
 def kill_after(process: subprocess.Popen, delay: float) -> None:

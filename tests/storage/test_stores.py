@@ -163,19 +163,11 @@ class TestCanonicalDump:
         assert canonical_dump(first, ["graph"]) != \
             canonical_dump(second, ["graph"])
 
-    def test_provenance_keys_excluded_by_default(self):
-        first, second = MemoryStore(), MemoryStore()
-        first.put_metadata("build_workers", "1")
-        second.put_metadata("build_workers", "8")
-        assert canonical_dump(first, []) == canonical_dump(second, [])
-        assert canonical_dump(first, [], include_provenance=True) != \
-            canonical_dump(second, [], include_provenance=True)
-
 
 class TestEngineRoundTrip:
     """build_index(store=...) → fresh engine → load_index → search must
-    yield identical results on every backend, for serial and sharded
-    (parallel) builds alike, with the build metadata intact."""
+    yield identical results on every backend, with the build metadata
+    intact."""
 
     QUERIES = ("asthma medications", '"bronchial structure" theophylline',
                "theophylline temperature")
@@ -193,17 +185,16 @@ class TestEngineRoundTrip:
         return XOntoRankEngine(corpus, ontology, strategy=RELATIONSHIPS)
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    @pytest.mark.parametrize("workers", [1, 3])
     def test_roundtrip_search_identical(self, corpus_and_ontology,
-                                        backend, workers, tmp_path):
+                                        backend, tmp_path):
         if backend == "memory":
             store = MemoryStore()
         else:
-            store = SQLiteStore(str(tmp_path / f"rt-{workers}.db"))
+            store = SQLiteStore(str(tmp_path / "rt.db"))
         builder_engine = self._engine(corpus_and_ontology)
-        index = builder_engine.build_index(store=store, workers=workers,
-                                           parallel_mode="thread")
+        index = builder_engine.build_index(store=store)
         assert len(index) > 0
+        assert store.get_metadata("strategy") == "relationships"
         persisted = sum(1 for dil in index.lists.values() if dil)
 
         fresh = self._engine(corpus_and_ontology)
@@ -223,36 +214,20 @@ class TestEngineRoundTrip:
                 [(r.dewey, r.score) for r in loaded]
         store.close()
 
-    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_sharded_build_metadata_roundtrips(self, corpus_and_ontology,
-                                               backend, tmp_path):
-        if backend == "memory":
-            store = MemoryStore()
-        else:
-            store = SQLiteStore(str(tmp_path / "meta.db"))
-        engine = self._engine(corpus_and_ontology)
-        engine.build_index(vocabulary={"asthma", "medications"},
-                           store=store, workers=3,
-                           parallel_mode="thread")
-        assert store.get_metadata("strategy") == "relationships"
-        assert store.get_metadata("build_workers") == "3"
-        assert store.get_metadata("build_mode") == "thread"
-        assert int(store.get_metadata("build_chunks")) >= 1
-        assert {"build_chunks", "build_mode", "build_workers"} <= \
-            set(store.metadata_keys())
-        store.close()
-
-    def test_serial_and_parallel_stores_byte_identical(
-            self, corpus_and_ontology, tmp_path):
-        serial_store = SQLiteStore(str(tmp_path / "serial.db"))
-        parallel_store = SQLiteStore(str(tmp_path / "parallel.db"))
-        self._engine(corpus_and_ontology).build_index(store=serial_store)
-        self._engine(corpus_and_ontology).build_index(
-            store=parallel_store, workers=4, parallel_mode="thread")
-        assert canonical_dump(serial_store, ["relationships"]) == \
-            canonical_dump(parallel_store, ["relationships"])
-        serial_store.close()
-        parallel_store.close()
+    def test_workers_shim_builds_the_same_index(self, corpus_and_ontology):
+        """``build_index(workers=...)`` survives only for the benchmark
+        harness; it is accepted and changes nothing."""
+        plain_store, shim_store = MemoryStore(), MemoryStore()
+        plain = self._engine(corpus_and_ontology).build_index(
+            store=plain_store)
+        shimmed = self._engine(corpus_and_ontology).build_index(
+            store=shim_store, workers=1)
+        assert plain.keywords() == shimmed.keywords()
+        for key in plain.keywords():
+            assert plain.lists[key].encoded() == \
+                shimmed.lists[key].encoded(), key
+        assert canonical_dump(plain_store, ["relationships"]) == \
+            canonical_dump(shim_store, ["relationships"])
 
 
 class TestSQLitePersistence:

@@ -49,7 +49,7 @@ class CommitCounter:
 
 
 def dump(store: SQLiteStore) -> bytes:
-    return canonical_dump(store, [RELATIONSHIPS], include_provenance=True)
+    return canonical_dump(store, [RELATIONSHIPS])
 
 
 @pytest.fixture(scope="module")

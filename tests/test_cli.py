@@ -51,6 +51,23 @@ class TestIndexAndSearch:
         # tiny corpus; both paths must not crash.
         assert code in (0, 1)
 
+    def test_workers_flag_is_an_inert_shim(self, data_dir, tmp_path,
+                                           capsys):
+        """``index --workers`` survives, hidden, only for the benchmark
+        harness: it exits 0 and writes exactly the plain build's store."""
+        from repro.storage import SQLiteStore, canonical_dump
+        plain, shimmed = str(tmp_path / "plain.db"), str(tmp_path / "w.db")
+        assert main(["index", "--data", data_dir, "--store", plain]) == 0
+        assert main(["index", "--data", data_dir, "--store", shimmed,
+                     "--workers", "2"]) == 0
+        with pytest.raises(SystemExit):
+            main(["index", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+        with SQLiteStore(plain, read_only=True) as first, \
+                SQLiteStore(shimmed, read_only=True) as second:
+            assert canonical_dump(first, ["relationships"]) == \
+                canonical_dump(second, ["relationships"])
+
     def test_search_without_store(self, data_dir, capsys):
         code = main(["search", "--data", data_dir, "fever", "-k", "2"])
         captured = capsys.readouterr()
@@ -315,11 +332,14 @@ class TestSharded:
         ["serve", "--data", "D", "--cache-size", "-1"],
         ["compact", "--store", "S", "--shards", "0"],
         ["compact", "--store", "S", "--shards", "-3"],
+        ["search", "--data", "D", "fever", "--retries", "-1"],
+        ["index", "--data", "D", "--store", "S", "--radius", "-1"],
     ])
     def test_bad_counts_are_usage_errors(self, argv, capsys):
         """These used to be tracebacks (--shard-workers 0,
-        --cache-size -1) or a silent fall-back to the unsharded path
-        with a misleading "no index store" (compact --shards 0)."""
+        --cache-size -1, --radius -1), a silent fall-back to the
+        unsharded path with a misleading "no index store" (compact
+        --shards 0), or silently accepted (--retries -1)."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -586,13 +606,13 @@ class TestProfiling:
                                                 tmp_path, capsys):
         store = str(tmp_path / "index.db")
         code = main(["index", "--data", data_dir, "--store", store,
-                     "--workers", "2", "--profile"])
+                     "--profile"])
         captured = capsys.readouterr()
         assert code == 0
         assert "PROFILE -- per-phase timings (milliseconds)" in \
             captured.out
         assert "index_build" in captured.out
-        assert "parallel_build.shard_build:" in captured.out
+        assert "index.serial_build: count=1" in captured.out
 
     def test_verbose_prints_timer_histograms(self, data_dir, capsys):
         code = main(["search", "--data", data_dir, "asthma", "-k", "2",
@@ -758,6 +778,8 @@ class TestDefaultShardsCompatibility:
     #: lines per ``search --store`` step changed since, deliberately:
     #: ``reading index store`` replaced ``loaded N posting lists`` and
     #: the dil-cache line counts the query's two read-through misses.
+    #: ``index`` no longer prints a ``build: workers=...`` line: the
+    #: build has one (serial) path, so there is nothing to report.
     GOLDEN = pathlib.Path(__file__).parent / "golden" \
         / "cli_default_shards.txt"
 
