@@ -20,7 +20,7 @@ sizes -- the three columns of Table III.
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Container, Iterable
 
 from ...ir.tokenizer import Keyword
 from ..obs.tracer import NULL_TRACER
@@ -47,8 +47,16 @@ class IndexBuilder:
 
     # ------------------------------------------------------------------
     def build_keyword(self, keyword: Keyword,
+                      doc_ids: Container[int] | None = None,
                       ) -> tuple[DeweyInvertedList, KeywordBuildStats]:
-        """Stages 2+3 for a single keyword, with measurements."""
+        """Stages 2+3 for a single keyword, with measurements.
+
+        ``doc_ids`` scopes the list to those documents (``None``: every
+        document of the element index). OntoScores and NodeScores stay
+        corpus-global, so a scoped list is exactly the unscoped one
+        filtered to the scope; only the postings the scope keeps are
+        ever created, sorted and measured.
+        """
         with self._tracer.span("index.build_keyword",
                                keyword=keyword.text) as span:
             started = time.perf_counter()
@@ -57,7 +65,8 @@ class IndexBuilder:
             node_scores = self._node_scorer.node_scores(keyword, onto)
             postings = [Posting(dewey, score)
                         for dewey, score in node_scores.items()
-                        if score > 0.0]
+                        if score > 0.0 and (doc_ids is None
+                                            or dewey.doc_id in doc_ids)]
             dil = DeweyInvertedList(keyword, postings)
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             stats = KeywordBuildStats(

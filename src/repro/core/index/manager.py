@@ -41,7 +41,7 @@ from ..stats import (CODEC_LAZY_LISTS, CODEC_RAW_FALLBACKS,
 from .builder import IndexBuilder
 from .dil import (DeweyInvertedList, XOntoDILIndex, index_key,
                   keyword_from_key)
-from .segments import SegmentLifecycle
+from .segments import SegmentLifecycle, reset_segments
 from .vocabulary import default_vocabulary
 
 #: corpus object -> (corpus version, fingerprint). Keyed weakly so a
@@ -278,29 +278,42 @@ class IndexManager:
             index = self.builder.build(vocabulary,
                                        strategy_name=self.strategy)
         if store is not None:
+            # The build owns the namespace: an earlier build's lists go.
             with self.tracer.span("storage.save_index"):
-                index.save(store)
+                checksum = store_manifest.replace_namespace(
+                    store, self.strategy,
+                    {key: dil.encoded()
+                     for key, dil in index.lists.items() if dil})
         for key, dil in index.lists.items():
             keyword = keyword_from_key(key)
             self.dil_cache.put((keyword.text, keyword.is_phrase), dil)
         if store is not None:
-            self._persist_corpus_and_manifest(store)
+            self._persist_corpus_and_manifest(store, checksum)
         return index
 
-    def _persist_corpus_and_manifest(self, store: IndexStore) -> None:
-        document_texts = []
-        for document in self.corpus:
-            text = serialize(document)
-            store.put_document(document.doc_id, text)
-            document_texts.append((document.doc_id, text))
+    def _persist_corpus_and_manifest(self, store: IndexStore,
+                                     checksum: str) -> None:
+        """The build's documents (it owns the document table: rows
+        outside its corpus are deleted), segments, parameters and
+        manifest."""
+        document_texts = [(document.doc_id, serialize(document))
+                          for document in self.corpus]
+        doc_ids = [doc_id for doc_id, _ in document_texts]
+        for doc_id in sorted(set(store.document_ids()) - set(doc_ids)):
+            store.delete_document(doc_id)
+        store.put_documents_many(document_texts)
+        fingerprint = memoized_corpus_fingerprint(self.corpus,
+                                                  document_texts)
+        reset_segments(store, self.strategy, doc_ids, checksum,
+                       fingerprint)
+        self._segments = None  # a bound lifecycle holds the old catalog
         store.put_metadata_many([
             ("strategy", self.strategy),
             ("decay", str(self.config.decay)),
             ("threshold", str(self.config.threshold)),
             ("t", str(self.config.t))])
-        store_manifest.finalize_manifest(
-            store, self.strategy,
-            memoized_corpus_fingerprint(self.corpus, document_texts))
+        store_manifest.finalize_manifest(store, self.strategy, checksum,
+                                         fingerprint)
 
     # ------------------------------------------------------------------
     # Load phase

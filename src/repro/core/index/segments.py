@@ -21,9 +21,11 @@ maintenance on top of :mod:`repro.storage.segments`:
   any orphans from crashed mutations, and gives the freed file space
   back.
 
-Every namespace write is one ``put_postings_many`` batch, so on SQLite
-an append's posting rows land (or roll back) as one transaction; see
-docs/STORAGE.md, "Interaction with manifests and segments".
+Every namespace write is one
+:func:`~repro.storage.manifest.replace_namespace` batch and an append's
+documents are one ``put_documents_many`` batch, so on SQLite each lands
+(or rolls back) as one transaction; see docs/STORAGE.md, "Interaction
+with manifests and segments".
 
 **Statistics epochs.** NodeScores embed corpus-global BM25 statistics
 (element count, document frequencies, per-keyword normalization), so a
@@ -41,14 +43,13 @@ Table III builds (see docs/PAPER_MAP.md).
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import chain
 from typing import Iterable, Sequence
 
 from ...ir.tokenizer import Keyword, tokenize
 from ...storage.interface import IndexStore
 from ...storage.manifest import (CHECKSUM_KEY_PREFIX,
                                  CORPUS_FINGERPRINT_KEY,
-                                 corpus_fingerprint, postings_checksum,
+                                 corpus_fingerprint, replace_namespace,
                                  require_complete, store_checksum)
 from ...storage.errors import IncompatibleIndexError
 from ...storage.segments import (SegmentCatalog, SegmentRecord,
@@ -64,18 +65,6 @@ from ..stats import (APPEND_DOCS, APPEND_KEYWORDS_BUILT,
                      SEGMENTS_LIVE, TOMBSTONES)
 from .dil import DeweyInvertedList, index_key, keyword_from_key
 from .vocabulary import corpus_vocabulary, experiment_vocabulary
-
-
-def _replace_namespace(store: IndexStore, namespace: str,
-                       lists: dict[str, list]) -> None:
-    """Make ``lists`` the whole content of a posting namespace in one
-    ``put_postings_many`` batch (one transaction on SQLite): every row
-    already there -- orphans of a crashed mutation that targeted the
-    same segment id, or a dead segment being reclaimed -- is deleted
-    first, then the lists are written in key order."""
-    stale = [(keyword, ()) for keyword in list(store.keywords(namespace))]
-    store.put_postings_many(namespace, chain(
-        stale, ((key, lists[key]) for key in sorted(lists))))
 
 
 def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
@@ -98,11 +87,10 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
                      segments=len(catalog.segments)) as span:
         lists = merged_lists(store, catalog)
         namespace = segment_namespace(catalog.strategy, catalog.next_id)
-        _replace_namespace(store, namespace, lists)
-        record = SegmentRecord(segment_id=catalog.next_id,
-                               namespace=namespace,
-                               doc_ids=tuple(catalog.live),
-                               checksum=postings_checksum(lists))
+        record = SegmentRecord(
+            segment_id=catalog.next_id, namespace=namespace,
+            doc_ids=tuple(catalog.live),
+            checksum=replace_namespace(store, namespace, lists))
         compacted = SegmentCatalog(
             strategy=catalog.strategy, next_id=catalog.next_id + 1,
             live=catalog.live,
@@ -113,7 +101,7 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
         # rows, the plain manifest entries brought back in sync with
         # the logical index, and last the file space all that freed.
         for old in catalog.segments:
-            _replace_namespace(store, old.namespace, {})
+            replace_namespace(store, old.namespace, {})
         for doc_id in sorted(set(store.document_ids())
                              - catalog.live_set):
             store.delete_document(doc_id)
@@ -124,6 +112,28 @@ def compact_store(store: IndexStore, tracer=None) -> SegmentCatalog | None:
         span.annotate(keywords=len(lists),
                       tombstones_reclaimed=catalog.tombstone_count)
     return compacted
+
+
+def reset_segments(store: IndexStore, strategy: str,
+                   doc_ids: Sequence[int], checksum: str,
+                   fingerprint: str) -> None:
+    """Make a full build of ``strategy`` the only segment of a store
+    that holds that strategy's segment catalog (no-op otherwise): the
+    other segments' namespaces are cleared and the catalog names the
+    build's namespace and documents alone, as if it had adopted a
+    fresh build (:meth:`SegmentLifecycle._bootstrap_catalog`)."""
+    catalog = load_catalog(store)
+    if catalog is None or catalog.strategy != strategy:
+        return
+    for record in catalog.segments:
+        if record.namespace != strategy:
+            replace_namespace(store, record.namespace, {})
+    live = tuple(sorted(doc_ids))
+    save_catalog(store, SegmentCatalog(
+        strategy=strategy, next_id=catalog.next_id, live=live,
+        live_fingerprint=fingerprint,
+        segments=(SegmentRecord(segment_id=0, namespace=strategy,
+                                doc_ids=live, checksum=checksum),)))
 
 
 class SegmentLifecycle:
@@ -266,11 +276,8 @@ class SegmentLifecycle:
                 rows = merged_postings(self.store, self.catalog, key)
                 span.annotate(postings=len(rows))
             return DeweyInvertedList.from_encoded(keyword, rows)
-        dil, _ = self._builder.build_keyword(keyword)
-        live = self.catalog.live_set
-        return DeweyInvertedList(
-            keyword, [posting for posting in dil
-                      if posting.dewey.doc_id in live])
+        return self._builder.build_keyword(keyword,
+                                           self.catalog.live_set)[0]
 
     # ------------------------------------------------------------------
     # Append
@@ -312,15 +319,12 @@ class SegmentLifecycle:
                 documents, new_ids, radius)
             namespace = segment_namespace(self.catalog.strategy,
                                           self.catalog.next_id)
-            _replace_namespace(self.store, namespace, lists)
-            for document in documents:
-                self.store.put_document(document.doc_id,
-                                        texts[document.doc_id])
+            checksum = replace_namespace(self.store, namespace, lists)
+            self.store.put_documents_many(texts.items())
             self.universe_texts.update(texts)
             record = SegmentRecord(
                 segment_id=self.catalog.next_id, namespace=namespace,
-                doc_ids=tuple(sorted(new_ids)),
-                checksum=postings_checksum(lists))
+                doc_ids=tuple(sorted(new_ids)), checksum=checksum)
             live_after = live | new_ids
             catalog = self.catalog.with_segment(
                 record, live_after, self._live_fingerprint(live_after))
@@ -341,9 +345,9 @@ class SegmentLifecycle:
     def _build_segment_lists(self, documents: Sequence[XMLDocument],
                              new_ids: frozenset[int], radius: int,
                              ) -> tuple[int, int, dict]:
-        """Posting lists of one append segment.
+        """Posting lists of one append segment, in key order.
 
-        Keywords already indexed somewhere are scoped to the *new*
+        Keywords already indexed somewhere are built scoped to the *new*
         documents (older segments already cover the rest) unless the
         exactness filter proves them untouchable; keywords new to the
         index are backfilled over every live document.
@@ -385,11 +389,9 @@ class SegmentLifecycle:
                 skipped += 1
                 continue
             built += 1
-            dil, _ = builder.build_keyword(keyword)
-            rows = [posting.encoded() for posting in dil
-                    if posting.dewey.doc_id in new_ids]
-            if rows:
-                lists[key] = rows
+            dil, _ = builder.build_keyword(keyword, new_ids)
+            if dil:
+                lists[key] = dil.encoded()
         live_after = self.catalog.live_set | new_ids
         for word in sorted(new_vocabulary):
             keyword = Keyword.from_text(word)
@@ -397,12 +399,10 @@ class SegmentLifecycle:
             if key in self.known_keys():
                 continue
             built += 1
-            dil, _ = builder.build_keyword(keyword)
-            rows = [posting.encoded() for posting in dil
-                    if posting.dewey.doc_id in live_after]
-            if rows:
-                lists[key] = rows
-        return built, skipped, lists
+            dil, _ = builder.build_keyword(keyword, live_after)
+            if dil:
+                lists[key] = dil.encoded()
+        return built, skipped, dict(sorted(lists.items()))
 
     def _cannot_touch(self, keyword: Keyword, new_tokens: set[str],
                       new_concepts: set[str]) -> bool:

@@ -19,8 +19,8 @@ Two facts make this exact rather than approximate:
   ontology alone), so every shard scores with the *whole-corpus*
   statistics: each shard wraps one shared
   :class:`~repro.core.index.builder.IndexBuilder` in a
-  :class:`ShardScopedBuilder` that restricts posting lists to the
-  shard's documents instead of re-deriving statistics per shard.
+  :class:`ShardScopedBuilder` that scopes each build to the shard's
+  documents instead of re-deriving statistics per shard.
 * XRANK's stack merge never crosses a document boundary (Dewey IDs
   root at the document), so a shard's results are exactly the global
   results whose documents live in that shard, and the global ranking
@@ -98,10 +98,11 @@ def merge_ranked(result_lists: Iterable[Sequence[QueryResult]],
 class ShardScopedBuilder:
     """An :class:`IndexBuilder` view restricted to one shard's documents.
 
-    Delegates the expensive work (OntoScore expansion, NodeScores over
-    the shared corpus-global element index) to the wrapped builder --
-    whose per-keyword caches are therefore shared across shards -- and
-    filters the resulting posting lists down to the shard's doc IDs.
+    Every build is the wrapped builder's, scoped to the shard's doc IDs:
+    the expensive work (OntoScore expansion, NodeScores over the shared
+    corpus-global element index) is cached there and shared across
+    shards, and each shard assembles postings for its own documents
+    only.
     """
 
     def __init__(self, builder: IndexBuilder,
@@ -143,20 +144,7 @@ class ShardScopedBuilder:
 
     def build_keyword(self, keyword: Keyword,
                       ) -> tuple[DeweyInvertedList, KeywordBuildStats]:
-        dil, stats = self._builder.build_keyword(keyword)
-        postings = [posting for posting in dil
-                    if posting.dewey.doc_id in self._doc_ids]
-        if len(postings) == len(dil):
-            # The scope filtered nothing (always so for one shard):
-            # the builder's list and stats are already the answer.
-            return dil, stats
-        scoped = DeweyInvertedList(keyword, postings)
-        return scoped, KeywordBuildStats(
-            keyword=stats.keyword,
-            creation_time_ms=stats.creation_time_ms,
-            posting_count=len(scoped),
-            size_bytes=scoped.size_bytes(),
-            ontology_entries=stats.ontology_entries)
+        return self._builder.build_keyword(keyword, self._doc_ids)
 
     #: The builder's vocabulary loop, run over the scoped
     #: :meth:`build_keyword`.

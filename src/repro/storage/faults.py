@@ -38,9 +38,10 @@ from .interface import EncodedPosting, IndexStore
 #: guaranteed unparseable by :meth:`repro.xmldoc.dewey.DeweyID.parse`.
 CORRUPT_DEWEY = "corrupt.posting.!"
 
-#: Batch writes (``put_postings_many`` / ``put_metadata_many``) are not
-#: listed: they keep the interface's per-item loop, so every list or
-#: entry of a batch is its own write and its own cut point.
+#: Batch writes (``put_postings_many`` / ``put_documents_many`` /
+#: ``put_metadata_many``) are not listed: they keep the interface's
+#: per-item loop, so every list, document or entry of a batch is its
+#: own write and its own cut point.
 _WRITE_OPERATIONS = frozenset(
     {"put_postings", "put_document", "put_metadata",
      "delete_document", "reclaim_space"})

@@ -80,6 +80,14 @@ class IndexStore(ABC):
     def put_document(self, doc_id: int, xml_text: str) -> None:
         """Store a document's serialized XML."""
 
+    def put_documents_many(self,
+                           items: Iterable[tuple[int, str]]) -> None:
+        """Store many documents; same batching contract as
+        :meth:`put_postings_many` (default loops, transactional
+        backends override with one transaction)."""
+        for doc_id, xml_text in items:
+            self.put_document(doc_id, xml_text)
+
     @abstractmethod
     def get_document(self, doc_id: int) -> str:
         """Serialized XML of a document; raises on unknown ids."""

@@ -15,8 +15,9 @@ metadata entries written by the build and checked by
     loaders reject.
 ``manifest.checksum.<strategy>``
     SHA-256 over the canonical JSON form of every posting list of the
-    strategy, recomputed from the store after the build -- truncation
-    or tampering of any list changes it.
+    strategy, computed from exactly the lists the build wrote (the
+    build replaces the whole namespace, see :func:`replace_namespace`)
+    -- truncation or tampering of any list changes it.
 ``manifest.corpus_fingerprint``
     SHA-256 over the serialized documents the index was built from.
     Lets the engine refuse an index built from a different corpus, and
@@ -37,6 +38,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CorruptIndexError, StorageError
@@ -78,6 +80,26 @@ def store_checksum(store: IndexStore, strategy: str) -> str:
          for keyword in store.keywords(strategy)})
 
 
+def replace_namespace(store: IndexStore, namespace: str,
+                      lists: Mapping[str, Sequence[EncodedPosting]],
+                      ) -> str:
+    """Make ``lists`` the whole content of a posting namespace, in one
+    ``put_postings_many`` batch (one transaction on SQLite), and return
+    their :func:`postings_checksum`.
+
+    Every key already there that ``lists`` does not hold -- the lists
+    of an earlier build, orphans of a crashed mutation that targeted the
+    same segment id, a dead segment being reclaimed -- is deleted first;
+    then the lists are written in ``lists`` order. ``lists`` must hold
+    no empty list (stores treat one as absent), so the checksum is the
+    one the namespace now reads back as, without reading it back.
+    """
+    stale = [(keyword, ()) for keyword in list(store.keywords(namespace))
+             if keyword not in lists]
+    store.put_postings_many(namespace, chain(stale, lists.items()))
+    return postings_checksum(lists)
+
+
 def corpus_fingerprint(documents: Iterable[tuple[int, str]]) -> str:
     """SHA-256 over ``(doc_id, serialized XML)`` pairs, order-free."""
     payload = [[doc_id, text] for doc_id, text in sorted(documents)]
@@ -95,13 +117,14 @@ def mark_build_started(store: IndexStore) -> None:
     store.put_metadata(BUILD_COMPLETE_KEY, BUILD_IN_PROGRESS)
 
 
-def finalize_manifest(store: IndexStore, strategy: str,
+def finalize_manifest(store: IndexStore, strategy: str, checksum: str,
                       fingerprint: str) -> None:
     """Last writes of a build: the manifest entries as one batch, then
-    the completion marker strictly last, on its own."""
+    the completion marker strictly last, on its own. ``checksum`` is
+    what :func:`replace_namespace` returned for the build's lists."""
     store.put_metadata_many([
         (MANIFEST_VERSION_KEY, MANIFEST_VERSION),
-        (CHECKSUM_KEY_PREFIX + strategy, store_checksum(store, strategy)),
+        (CHECKSUM_KEY_PREFIX + strategy, checksum),
         (CORPUS_FINGERPRINT_KEY, fingerprint)])
     store.put_metadata(BUILD_COMPLETE_KEY, BUILD_COMPLETE)
 

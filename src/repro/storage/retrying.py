@@ -170,6 +170,11 @@ class RetryingStore(IndexStore):
     def put_document(self, doc_id: int, xml_text: str) -> None:
         self._retry(lambda: self._inner.put_document(doc_id, xml_text))
 
+    def put_documents_many(self,
+                           items: Iterable[tuple[int, str]]) -> None:
+        batch = list(items)  # see put_postings_many
+        self._retry(lambda: self._inner.put_documents_many(batch))
+
     def get_document(self, doc_id: int) -> str:
         return self._retry(lambda: self._inner.get_document(doc_id))
 

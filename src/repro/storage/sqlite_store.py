@@ -4,7 +4,8 @@ The durable counterpart of :class:`~repro.storage.memory_store.MemoryStore`
 and the stand-in for the paper's SQL Server deployment. Posting lists are
 stored row-per-posting with a composite primary key so partial scans and
 counts stay in the database. Every write call is one transaction: a
-:meth:`~SQLiteStore.put_postings_many` or
+:meth:`~SQLiteStore.put_postings_many`,
+:meth:`~SQLiteStore.put_documents_many` or
 :meth:`~SQLiteStore.put_metadata_many` batch commits (and fsyncs) once,
 however many lists or entries it carries, and a failure rolls the whole
 batch back. :meth:`~SQLiteStore.reclaim_space` runs ``VACUUM``.
@@ -252,6 +253,13 @@ class SQLiteStore(IndexStore):
             self._connection.execute(
                 "INSERT OR REPLACE INTO documents (doc_id, xml_text) "
                 "VALUES (?, ?)", (doc_id, xml_text))
+
+    def put_documents_many(self,
+                           items: Iterable[tuple[int, str]]) -> None:
+        with self._guarded(), self._connection:
+            self._connection.executemany(
+                "INSERT OR REPLACE INTO documents (doc_id, xml_text) "
+                "VALUES (?, ?)", items)
 
     def get_document(self, doc_id: int) -> str:
         with self._guarded():

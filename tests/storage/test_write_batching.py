@@ -1,11 +1,13 @@
 """Deterministic write counters: one SQLite transaction per write batch.
 
 Every posting writer hands a whole namespace (or build shard) to
-``put_postings_many`` and every group of metadata entries to
-``put_metadata_many``, so the COMMITs a build, an append or a compaction
-issues grow with the documents it writes and the commit points it has,
-never with the vocabulary. Compaction ends with ``reclaim_space`` and
-so never leaves the file larger than it found it.
+``put_postings_many``, every group of documents to
+``put_documents_many`` and every group of metadata entries to
+``put_metadata_many``, so a build or an append issues a fixed number of
+COMMITs, whatever the documents and the vocabulary it writes; only a
+compaction's grow, with the segments and tombstones it reclaims.
+Compaction ends with ``reclaim_space`` and so never leaves the file
+larger than it found it.
 
 COMMITs are counted exactly with ``sqlite3``'s statement trace on the
 store's connection: the counts are a function of the code and the
@@ -87,31 +89,40 @@ def lifecycle(cda_corpus, synthetic_ontology, tmp_path_factory):
     return facts
 
 
+def build_commits(documents, synthetic_ontology, path, vocabulary=None):
+    engine = XOntoRankEngine(Corpus(documents), synthetic_ontology,
+                             strategy=RELATIONSHIPS)
+    with SQLiteStore(str(path)) as store:
+        counter = CommitCounter(store)
+        engine.build_index(vocabulary=vocabulary, store=store)
+        return counter.take()
+
+
 class TestCommitCounts:
-    def test_build_commits_per_document_not_per_keyword(self, lifecycle):
+    def test_build_commits_do_not_grow_with_documents(
+            self, lifecycle, cda_corpus, synthetic_ontology, tmp_path):
+        """Marker, postings, documents, parameters, manifest, marker."""
         assert lifecycle["lists"] > 100
-        assert lifecycle["build"] <= BASE_DOCS + 16
+        assert lifecycle["build"] == 6
+        documents = list(cda_corpus)[:BASE_DOCS]
+        assert build_commits(documents[:2], synthetic_ontology,
+                             tmp_path / "two.db") == lifecycle["build"]
 
     def test_build_commits_do_not_grow_with_vocabulary(
             self, cda_corpus, synthetic_ontology, tmp_path):
-        def build_commits(vocabulary, name):
-            engine = XOntoRankEngine(
-                Corpus(list(cda_corpus)[:BASE_DOCS]), synthetic_ontology,
-                strategy=RELATIONSHIPS)
-            with SQLiteStore(str(tmp_path / name)) as store:
-                counter = CommitCounter(store)
-                engine.build_index(vocabulary=vocabulary, store=store)
-                return counter.take()
-
+        documents = list(cda_corpus)[:BASE_DOCS]
         vocabulary = sorted(default_vocabulary(
-            Corpus(list(cda_corpus)[:BASE_DOCS]), synthetic_ontology,
-            RELATIONSHIPS))
-        assert build_commits(vocabulary[:10], "small.db") == \
-            build_commits(vocabulary, "full.db")
+            Corpus(documents), synthetic_ontology, RELATIONSHIPS))
+        assert build_commits(documents, synthetic_ontology,
+                             tmp_path / "small.db", vocabulary[:10]) == \
+            build_commits(documents, synthetic_ontology,
+                          tmp_path / "full.db", vocabulary)
 
-    def test_append_commits_per_document(self, lifecycle):
+    def test_append_commits_per_batch(self, lifecycle):
+        """Postings, documents, catalog -- plus, on the first append,
+        the catalog that adopts the base build as segment 0."""
         for commits in lifecycle["appends"]:
-            assert commits <= BATCH + 4
+            assert commits <= 5
 
     def test_compact_commits_per_segment_and_tombstone(self, lifecycle):
         assert lifecycle["segments"] == 3
