@@ -12,8 +12,6 @@ ranked lists. The acceptance bar: mean narrative relevance must be at
 least the curated baseline -- free-text phrasing must not cost quality.
 """
 
-from repro.core.config import RELATIONSHIPS
-from repro.core.query.engine import XOntoRankEngine
 from repro.evaluation import (SYNONYM_PHRASING, kendall_tau_topk,
                               narrative_queries, precision_at_k)
 from repro.ir.tokenizer import KeywordQuery, tokenize
@@ -25,11 +23,12 @@ JUDGED_K = 5
 QUICK_PAIRS = 6
 
 
-def evaluate_pairs(engine, narrative_engine, oracle, pairs):
+def evaluate_pairs(engine, oracle, pairs):
     rows = []
     for curated, variant in pairs:
         curated_results = engine.search(curated.text, k=TOP_K)
-        outcome = narrative_engine.search_outcome(variant.text, k=TOP_K)
+        outcome = engine.search_outcome(variant.text, k=TOP_K,
+                                        narrative=True)
 
         # Judge the union of both lists against the *curated* query:
         # the paraphrase carries the same information need, so the
@@ -78,19 +77,15 @@ def render_table(rows):
     return "\n".join(lines) + "\n", curated_mean, narrative_mean, tau_mean
 
 
-def test_narrative_relevance(benchmark, bench_corpus, bench_ontology,
-                             bench_engines, bench_oracle, quick_mode):
-    narrative_engine = XOntoRankEngine(bench_corpus, bench_ontology,
-                                       strategy=RELATIONSHIPS)
-    narrative_engine.enable_narrative()
+def test_narrative_relevance(benchmark, bench_engines, bench_oracle,
+                             quick_mode):
     pairs = narrative_queries()
     if quick_mode:
         pairs = pairs[:QUICK_PAIRS]
 
     rows = benchmark.pedantic(
         evaluate_pairs,
-        args=(bench_engines["relationships"], narrative_engine,
-              bench_oracle, pairs),
+        args=(bench_engines["relationships"], bench_oracle, pairs),
         rounds=1, iterations=1)
     text, curated_mean, narrative_mean, tau_mean = render_table(rows)
     if not quick_mode:

@@ -530,12 +530,15 @@ def command_search(args: argparse.Namespace) -> int:
 def _search_and_print(args: argparse.Namespace, engine: FederatedEngine,
                       tracer: Tracer | None) -> int:
     if args.narrative:
+        # Build the mapper up front so a corpus without an ontology
+        # (--strategy xrank) is a clean exit 2, not a traceback.
         try:
-            engine.enable_narrative()
+            engine.narrative_mapper()
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    outcome = engine.search_outcome(args.query, k=args.k)
+    outcome = engine.search_outcome(args.query, k=args.k,
+                                    narrative=args.narrative)
     results = outcome.results
     effective_query = args.query
     if outcome.narrative is not None:
@@ -731,15 +734,15 @@ def command_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
-def _bounded_int(text: str, minimum: int, kind: str) -> int:
+def _bounded(text: str, parse, minimum, kind: str):
     try:
-        value = int(text)
+        value = parse(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < minimum:
+            f"invalid {parse.__name__} value: {text!r}") from None
+    if not value >= minimum:  # also rejects a float NaN
         raise argparse.ArgumentTypeError(
-            f"must be a {kind} integer (got {value})")
+            f"must be a {kind} (got {value})")
     return value
 
 
@@ -747,7 +750,7 @@ def _positive_int(text: str) -> int:
     """Argparse type for counts the layers below require >= 1 (top-k,
     shards, workers): reject 0/negatives here with a usage error, not
     a traceback."""
-    return _bounded_int(text, 1, "positive")
+    return _bounded(text, int, 1, "positive integer")
 
 
 def _non_negative_int(text: str) -> int:
@@ -755,7 +758,13 @@ def _non_negative_int(text: str) -> int:
     0`` disables the DIL cache, ``--retries 0`` disables retrying,
     ``--radius 0`` keeps only referenced concepts): negatives are a
     usage error."""
-    return _bounded_int(text, 0, "non-negative")
+    return _bounded(text, int, 0, "non-negative integer")
+
+
+def _non_negative_float(text: str) -> float:
+    """Argparse type for durations in seconds (``--drain-grace``,
+    ``--breaker-cooldown``): negatives are a usage error."""
+    return _bounded(text, float, 0.0, "non-negative number")
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser,
@@ -793,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="build a synthetic ontology + CDA corpus")
     generate.add_argument("--out", required=True,
                           help="output data directory")
-    generate.add_argument("--patients", type=int, default=40)
+    generate.add_argument("--patients", type=_positive_int, default=40)
     generate.add_argument("--seed", type=int, default=7,
                           help="EMR generator seed")
     generate.add_argument("--ontology-seed", type=int, default=20090331)
@@ -884,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "fallback) and search the mapped keywords")
     search.add_argument("--explain", action="store_true",
                         help="print per-keyword evidence")
-    search.add_argument("--fragment-lines", type=int, default=6)
+    search.add_argument("--fragment-lines", type=_non_negative_int,
+                        default=6)
     _add_read_flags(search)
     search.add_argument("--strict", "--no-fallback", dest="strict",
                         action="store_true",
@@ -919,21 +929,24 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--concurrency", type=_positive_int, default=4,
                        help="worker threads evaluating queries "
                             "(= max concurrent searches)")
-    serve.add_argument("--queue", type=int, default=16,
+    serve.add_argument("--queue", type=_non_negative_int, default=16,
                        help="admitted-but-waiting bound; requests "
                             "beyond concurrency+queue are shed (429)")
-    serve.add_argument("--timeout-ms", type=int, default=2000,
+    serve.add_argument("--timeout-ms", type=_non_negative_int,
+                       default=2000,
                        help="default per-request deadline "
                             "(0 = unbounded; clients override with "
                             "?timeout_ms=)")
-    serve.add_argument("--drain-grace", type=float, default=10.0,
+    serve.add_argument("--drain-grace", type=_non_negative_float,
+                       default=10.0,
                        help="seconds SIGTERM waits for in-flight "
                             "requests before exiting")
     serve.add_argument("--breaker-threshold", type=_positive_int,
                        default=3,
                        help="consecutive shard failures that trip its "
                             "circuit breaker")
-    serve.add_argument("--breaker-cooldown", type=float, default=2.0,
+    serve.add_argument("--breaker-cooldown", type=_non_negative_float,
+                       default=2.0,
                        help="seconds a tripped breaker waits before "
                             "probing the shard again")
     serve.add_argument("--no-warm", action="store_true",
@@ -955,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser(
         "evaluate", help="run the Table-I survey over the workload")
     evaluate.add_argument("--data", required=True)
-    evaluate.add_argument("--k", type=int, default=5)
+    evaluate.add_argument("--k", type=_positive_int, default=5)
     evaluate.set_defaults(handler=command_evaluate)
 
     stats = subparsers.add_parser(

@@ -11,11 +11,10 @@ document order, which is what the stack-merge query algorithm requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator, Sequence
 
 from ...ir.tokenizer import Keyword
-from ...storage.interface import EncodedPosting, IndexStore
+from ...storage.interface import EncodedPosting
 from ...xmldoc.dewey import DeweyID
 
 
@@ -285,40 +284,3 @@ class XOntoDILIndex:
             "size_kb": sum(s.size_bytes
                            for s in self.stats.values()) / count / 1024.0,
         }
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, store: IndexStore) -> None:
-        """Write every non-empty posting list into an
-        :class:`IndexStore` (stores treat an empty list as absent, and
-        a missing keyword loads back as an empty list).
-
-        Keys are normalized on the way out: a legacy unquoted
-        multi-word row (``heart murmur``, written before phrase keys
-        were quoted) whose canonical form (``"heart murmur"``) is part
-        of this index is deleted before the canonical row is written.
-        Without this, a load → save round-trip against the same store
-        would leave both rows behind -- the postings duplicated and
-        ``total_size_bytes`` double-counted on the next load.
-
-        The stale-key deletions and then every list go to the store as
-        one :meth:`~IndexStore.put_postings_many` batch (one transaction
-        on SQLite), encoded one list at a time as the store consumes it.
-        """
-        stale = [(key, ()) for key in list(store.keywords(self.strategy))
-                 if key not in self.lists
-                 and index_key(keyword_from_key(key)) in self.lists]
-        store.put_postings_many(self.strategy, chain(stale, (
-            (key, dil.encoded()) for key, dil in self.lists.items()
-            if dil)))
-
-    @classmethod
-    def load(cls, store: IndexStore, strategy: str) -> "XOntoDILIndex":
-        """Read all posting lists of a strategy back from a store."""
-        index = cls(strategy=strategy)
-        for key in store.keywords(strategy):
-            keyword = keyword_from_key(key)
-            encoded = store.get_postings(strategy, key)
-            index.add(DeweyInvertedList.from_encoded(keyword, encoded))
-        return index

@@ -27,6 +27,7 @@ over N >= 1 leaves (docs/ARCHITECTURE.md, "The engine protocol").
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Callable, Iterable
 
 from ...ir.tokenizer import Keyword, KeywordQuery
@@ -147,16 +148,22 @@ class SearchEngine:
 
     def search_outcome(self, query: str | KeywordQuery,
                        k: int | None = None, *,
+                       narrative: bool = False,
                        deadline: "Deadline | None" = None,
                        skip_shards: Iterable[int] = (),
                        on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
                        ) -> SearchOutcome:
         """:meth:`search` plus serving-quality annotations.
 
-        ``k=None`` falls back to ``config.top_k``. With a ``deadline``,
-        expiry between per-document merges returns the best-so-far
-        prefix with ``partial=True``; expiry before any result could
-        exist raises :class:`~repro.core.deadline.DeadlineExceeded`.
+        ``k=None`` falls back to ``config.top_k``. ``narrative=True``
+        treats a string query as free clinical text: it is mapped to
+        concept keywords once, here, by :meth:`narrative_mapper`, and
+        the mapping's provenance lands on the outcome's ``narrative``
+        (a pre-parsed :class:`KeywordQuery` passes through unmapped).
+        With a ``deadline``, expiry between per-document merges returns
+        the best-so-far prefix with ``partial=True``; expiry before any
+        result could exist raises
+        :class:`~repro.core.deadline.DeadlineExceeded`.
 
         ``skip_shards`` are not queried at all (their circuit breaker
         is open); a shard raising a
@@ -166,6 +173,24 @@ class SearchEngine:
         passing no handler) re-raises it. Every shard that contributed
         nothing lands in the outcome's ``degraded_shards``.
         """
+        mapping = None
+        if narrative and isinstance(query, str):
+            mapping = self.narrative_mapper().map(query)
+            query = mapping.query
+        outcome = self._search(
+            query, k if k is not None else self.config.top_k, deadline,
+            frozenset(skip_shards), on_shard_error)
+        if mapping is not None:
+            outcome = replace(outcome, narrative=mapping)
+        return outcome
+
+    def _search(self, query: str | KeywordQuery, k: int,
+                deadline: "Deadline | None",
+                skip_shards: frozenset[int],
+                on_shard_error: "Callable[[int, StorageError], bool] | None",
+                ) -> SearchOutcome:
+        """The keyword search behind :meth:`search_outcome`, with ``k``
+        resolved and any narrative already mapped."""
         raise NotImplementedError
 
     def search(self, query: str | KeywordQuery, k: int | None = None,
@@ -185,10 +210,8 @@ class SearchEngine:
     def narrative_mapper(self):
         """The engine's clinical-narrative mapper, built on first use.
 
-        The one mapper :meth:`enable_narrative` installs and the
-        serving layer applies per request (``narrative=1`` must not
-        mutate a warm engine, so it maps the query itself and runs the
-        resulting keywords). Raises ``ValueError`` when the engine has
+        The one mapper every ``search_outcome(..., narrative=True)``
+        call maps through. Raises ``ValueError`` when the engine has
         no ontology to map against (bare XRANK).
         """
         with self._narrative_lock:
@@ -196,9 +219,7 @@ class SearchEngine:
                 if self.terminology is None:
                     if self.ontology is None:
                         raise ValueError(
-                            "narrative mapping needs an ontology (or "
-                            "an explicit mapper built on a "
-                            "TerminologyService)")
+                            "narrative mapping needs an ontology")
                     self.terminology = TerminologyService(
                         [self.ontology])
                 from .narrative import NarrativeQueryMapper
@@ -269,57 +290,31 @@ class XOntoRankEngine(SearchEngine):
     # ------------------------------------------------------------------
     # Query phase
     # ------------------------------------------------------------------
-    def search_outcome(self, query: str | KeywordQuery,
-                       k: int | None = None, *,
-                       deadline: "Deadline | None" = None,
-                       skip_shards: Iterable[int] = (),
-                       on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
-                       ) -> SearchOutcome:
-        """See :meth:`SearchEngine.search_outcome`. The whole corpus is
-        shard 0: skipped or absorbed, the answer is the fast
-        degraded-empty outcome instead of a doomed attempt."""
+    def _search(self, query: str | KeywordQuery, k: int,
+                deadline: "Deadline | None",
+                skip_shards: frozenset[int],
+                on_shard_error: "Callable[[int, StorageError], bool] | None",
+                ) -> SearchOutcome:
+        """The whole corpus is shard 0: skipped or absorbed, the answer
+        is the fast degraded-empty outcome instead of a doomed
+        attempt."""
         if 0 in skip_shards:
             return SearchOutcome(results=[], degraded_shards=(0,))
         try:
             with self.tracer.span("query.search",
                                   strategy=self.strategy) as span:
-                context = self.pipeline.run(
-                    query, k=k if k is not None else self.config.top_k,
-                    deadline=deadline)
+                context = self.pipeline.run(query, k=k,
+                                            deadline=deadline)
                 span.annotate(keywords=len(context.dils),
                               results=len(context.results))
                 if context.partial:
                     span.annotate(partial=True)
-                return SearchOutcome(
-                    results=context.results, partial=context.partial,
-                    narrative=context.extras.get("narrative"))
+                return SearchOutcome(results=context.results,
+                                     partial=context.partial)
         except StorageError as error:
             if on_shard_error is not None and on_shard_error(0, error):
                 return SearchOutcome(results=[], degraded_shards=(0,))
             raise
-
-    def enable_narrative(self, mapper=None):
-        """Insert the clinical-narrative mapping stage before ``parse``.
-
-        String queries are then treated as free narrative text and
-        mapped to concept keywords (see
-        :mod:`repro.core.query.narrative`); pre-parsed
-        :class:`KeywordQuery` objects still pass through untouched.
-        Returns the active mapper (:meth:`narrative_mapper` unless one
-        is given). Raises ``ValueError`` without an ontology (or
-        explicit ``mapper``) to map against, or when the stage is
-        already installed.
-        """
-        from .narrative import NarrativeStage
-        if mapper is None:
-            mapper = self.narrative_mapper()
-        self.pipeline.insert_before("parse", NarrativeStage(mapper))
-        return mapper
-
-    def disable_narrative(self) -> None:
-        """Remove the narrative stage; the pipeline (and every result)
-        is byte-identical to one that never had it."""
-        self.pipeline.remove("narrative")
 
     def search_naive(self, query: str | KeywordQuery,
                      k: int | None = None) -> list[QueryResult]:

@@ -184,31 +184,11 @@ class FederatedEngine(SearchEngine):
                 builder=ShardScopedBuilder(
                     self.builder, self.sharded.shard_doc_ids(shard)))
             for shard, shard_corpus in enumerate(self.sharded)]
-        #: The mapper applied once before the fan-out; ``None`` = off.
-        self._fan_out_mapper = None
 
     # ------------------------------------------------------------------
     @property
     def shard_count(self) -> int:
         return self.sharded.shard_count
-
-    def enable_narrative(self, mapper=None):
-        """Treat string queries as clinical narrative: map them to
-        concept keywords *once*, before the shard fan-out (each shard
-        then receives the same pre-parsed :class:`KeywordQuery`, so the
-        federated identity contract applies to the mapped query).
-        Returns the active mapper (:meth:`narrative_mapper` unless one
-        is given); raises ``ValueError`` without an ontology to map
-        against.
-        """
-        if mapper is None:
-            mapper = self.narrative_mapper()
-        self._fan_out_mapper = mapper
-        return mapper
-
-    def disable_narrative(self) -> None:
-        """String queries parse as curated keywords again."""
-        self._fan_out_mapper = None
 
     def _fan_out(self, task: Callable[[XOntoRankEngine, int], Value],
                  ) -> list[Value]:
@@ -228,12 +208,11 @@ class FederatedEngine(SearchEngine):
     # ------------------------------------------------------------------
     # Query phase
     # ------------------------------------------------------------------
-    def search_outcome(self, query: str | KeywordQuery,
-                       k: int | None = None, *,
-                       deadline: Deadline | None = None,
-                       skip_shards: Iterable[int] = (),
-                       on_shard_error: "Callable[[int, StorageError], bool] | None" = None,
-                       ) -> SearchOutcome:
+    def _search(self, query: str | KeywordQuery, k: int,
+                deadline: Deadline | None,
+                skip_shards: frozenset[int],
+                on_shard_error: "Callable[[int, StorageError], bool] | None",
+                ) -> SearchOutcome:
         """Global top-k: per-shard top-k, k-way merged (see
         :meth:`SearchEngine.search_outcome` for the parameters).
 
@@ -252,16 +231,9 @@ class FederatedEngine(SearchEngine):
         :class:`~repro.core.deadline.DeadlineExceeded` propagates
         (there is nothing to serve).
         """
-        k = k if k is not None else self.config.top_k
-        skip = frozenset(skip_shards)
         with self.tracer.span("query.federated_search",
                               strategy=self.strategy,
                               shards=self.shard_count) as span:
-            narrative = None
-            if self._fan_out_mapper is not None \
-                    and isinstance(query, str):
-                narrative = self._fan_out_mapper.map(query)
-                query = narrative.query
             parsed = (KeywordQuery.parse(query)
                       if isinstance(query, str) else query)
 
@@ -270,7 +242,7 @@ class FederatedEngine(SearchEngine):
             def shard_search(engine: XOntoRankEngine, shard: int):
                 """The shard's outcome, or None when it contributed
                 nothing (skipped, timed out, or failure absorbed)."""
-                if shard in skip:
+                if shard in skip_shards:
                     return None
                 try:
                     return engine.search_outcome(parsed, k=k,
@@ -307,8 +279,7 @@ class FederatedEngine(SearchEngine):
             if degraded:
                 span.annotate(degraded_shards=len(degraded))
             return SearchOutcome(results=merged, partial=partial,
-                                 degraded_shards=degraded,
-                                 narrative=narrative)
+                                 degraded_shards=degraded)
 
     def dil_for(self, keyword: Keyword) -> DeweyInvertedList:
         """The *global* DIL of a keyword: shard DILs re-merged (mostly

@@ -2,9 +2,8 @@
 
 The paper assumes curated keyword queries (``"cardiac arrest"
 amiodarone``, Section VII), but real EMR users paste narrative text
-("super-morbidly obese, fundic gland polyps"). This module front-ends
-:class:`~repro.core.query.pipeline.QueryPipeline` with AutoHPO's
-two-stage strategy:
+("super-morbidly obese, fundic gland polyps"). This module maps such
+text to a keyword query with AutoHPO's two-stage strategy:
 
 1. **Extract** candidate clinical phrases from the free text: the
    longest-match scan of :meth:`TerminologyService.match_in_text` finds
@@ -23,11 +22,12 @@ two-stage strategy:
    axes) and emit a :class:`~repro.ir.tokenizer.KeywordQuery` the
    unchanged engine executes.
 
-The :class:`NarrativeStage` wraps the mapper as an optional pipeline
-stage inserted before ``parse`` (PR 4's surgery API); with the stage
-absent the pipeline is byte-identical to today. Mapping runs under a
-``query.narrative.map`` span and feeds the ``query.narrative.*``
-counters.
+The mapping is opt-in per call: ``search_outcome(text, narrative=True)``
+(:meth:`~repro.core.query.engine.SearchEngine.search_outcome`) maps a
+string query through the engine's one cached mapper before any shard
+or stage sees it; without the flag nothing here runs. Mapping runs
+under a ``query.narrative.map`` span and feeds the
+``query.narrative.*`` counters.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from ...ontology.api import TerminologyService
 from ...ontology.model import OntologyError
 from .. import stats as counters
 from ..obs.tracer import NULL_TRACER
-from .pipeline import QueryContext, QueryStage
 
 #: Provenance labels, one rung of the fallback ladder each.
 EXACT = "exact"
@@ -136,9 +135,6 @@ class NarrativeQueryMapper:
                               tokens=len(tokens)) as span:
             mapping = self._map(text, tokens, span)
         return mapping
-
-    def __call__(self, text: str) -> NarrativeMapping:
-        return self.map(text)
 
     # ------------------------------------------------------------------
     # The two-stage strategy
@@ -447,25 +443,3 @@ class NarrativeQueryMapper:
                                    for name, amount in amounts.items()
                                    if amount})
 
-
-class NarrativeStage(QueryStage):
-    """Optional pipeline stage: narrative text → mapped keyword query.
-
-    Inserted before ``parse`` via pipeline surgery
-    (:meth:`QueryPipeline.insert_before`); pre-parsed
-    :class:`KeywordQuery` objects pass through untouched, so programs
-    that already speak keywords see byte-identical behavior. The
-    mapping's provenance lands in ``context.extras["narrative"]``.
-    """
-
-    name = "narrative"
-
-    def __init__(self, mapper: NarrativeQueryMapper) -> None:
-        self.mapper = mapper
-
-    def run(self, context: QueryContext) -> None:
-        if not isinstance(context.query, str):
-            return
-        mapping = self.mapper.map(context.query)
-        context.extras["narrative"] = mapping
-        context.query = mapping.query

@@ -1,9 +1,7 @@
 """The Query Module as an explicit stage chain (paper Figure 8).
 
-The engine's ``search`` used to be one inline body; this module makes
-each step a named, independently testable stage object so future work
-(query rewriting, result caching, federated scatter/gather) can insert
-stages without touching the engine:
+Each step of a search is a named, independently testable stage object,
+fixed when the pipeline is built:
 
 ``parse``
     Keyword-query parsing (:class:`ParseStage`).
@@ -22,6 +20,10 @@ Stages communicate through a :class:`QueryContext` that accumulates the
 intermediate artifacts; each stage reads what earlier stages wrote and
 is traced by the component it wraps (``query.parse``,
 ``query.dil_fetch`` per keyword, ``query.dil_merge``, ``query.rank``).
+Clinical-narrative text is mapped to keywords before the chain runs
+(:meth:`SearchEngine.search_outcome
+<repro.core.query.engine.SearchEngine.search_outcome>`), so the chain
+only ever sees keyword queries.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class QueryContext:
     #: top-k. Expiry *before* any result exists raises
     #: :class:`~repro.core.deadline.DeadlineExceeded` instead.
     partial: bool = False
-    #: Free-form scratch space for inserted stages (rewriters, result
-    #: caches) that need to hand data to a later stage of their own.
-    extras: dict = field(default_factory=dict)
 
     def check_deadline(self, where: str = "") -> None:
         """Raise :class:`~repro.core.deadline.DeadlineExceeded` once
@@ -127,9 +126,8 @@ class MergeStage(QueryStage):
 
     With a bounded query (``context.k`` set) the merge runs in the
     processor's top-k mode: ``unranked`` then already holds the ranked
-    top-k (the bounded heap drained in final order) and
-    ``extras["merge_bounded"]`` tells the rank stage to pass it
-    through instead of re-sorting."""
+    top-k (the bounded heap drained in final order), which the rank
+    stage passes through instead of re-sorting."""
 
     name = "merge"
 
@@ -143,7 +141,6 @@ class MergeStage(QueryStage):
                 self.processor.collect_topk_stats(
                     context.dils, context.k, context.deadline)
             context.partial = statistics.deadline_hit
-            context.extras["merge_bounded"] = True
         else:
             # Full enumeration has no partial mode: the stack merge's
             # Eq. 1 emission order is document order, not rank order,
@@ -155,10 +152,10 @@ class MergeStage(QueryStage):
 class RankStage(QueryStage):
     """``unranked`` → ``results``: deterministic ordering + top-k.
 
-    When the merge stage already bounded the evaluation, this stage is
-    a heap-drain pass-through -- the candidates arrive ranked and
-    truncated, so sorting them again would only re-verify the heap's
-    invariant."""
+    When the merge stage already bounded the evaluation (``context.k``
+    set), this stage is a heap-drain pass-through -- the candidates
+    arrive ranked and truncated, so sorting them again would only
+    re-verify the heap's invariant."""
 
     name = "rank"
 
@@ -168,7 +165,7 @@ class RankStage(QueryStage):
     def run(self, context: QueryContext) -> None:
         with self._tracer.span("query.rank",
                                candidates=len(context.unranked)):
-            if context.extras.get("merge_bounded"):
+            if context.k is not None:
                 context.results = list(context.unranked)
             else:
                 context.results = rank_results(context.unranked,
@@ -176,11 +173,13 @@ class RankStage(QueryStage):
 
 
 class QueryPipeline:
-    """An ordered chain of named stages executing one keyword query."""
+    """An ordered chain of named stages executing one keyword query.
+
+    The chain is fixed at construction: :attr:`stages` is a tuple, so
+    concurrent queries always run the same stages."""
 
     def __init__(self, stages: Sequence[QueryStage]) -> None:
-        self._stages = list(stages)
-        self._check_unique_names()
+        self.stages: tuple[QueryStage, ...] = tuple(stages)
 
     @classmethod
     def default(cls, dil_source: Callable[[Keyword], DeweyInvertedList],
@@ -190,7 +189,6 @@ class QueryPipeline:
         return cls([ParseStage(tracer), DILFetchStage(dil_source),
                     MergeStage(processor), RankStage(tracer)])
 
-    # ------------------------------------------------------------------
     def run(self, query: str | KeywordQuery, k: int | None = None,
             deadline: Deadline | None = None) -> QueryContext:
         """Execute every stage in order; returns the filled context.
@@ -201,59 +199,6 @@ class QueryPipeline:
         mid-merge returns the filled context with ``partial=True``.
         """
         context = QueryContext(query=query, k=k, deadline=deadline)
-        for stage in self._stages:
+        for stage in self.stages:
             stage.run(context)
         return context
-
-    # ------------------------------------------------------------------
-    # Introspection and surgery (how future PRs insert stages)
-    # ------------------------------------------------------------------
-    @property
-    def stages(self) -> tuple[QueryStage, ...]:
-        return tuple(self._stages)
-
-    def stage_names(self) -> list[str]:
-        return [stage.name for stage in self._stages]
-
-    def stage(self, name: str) -> QueryStage:
-        for stage in self._stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(f"pipeline has no stage named {name!r}")
-
-    def _index_of(self, name: str) -> int:
-        for index, stage in enumerate(self._stages):
-            if stage.name == name:
-                return index
-        raise KeyError(f"pipeline has no stage named {name!r}")
-
-    def insert_before(self, name: str, stage: QueryStage) -> None:
-        self._splice(self._index_of(name), stage, replacing=False)
-
-    def insert_after(self, name: str, stage: QueryStage) -> None:
-        self._splice(self._index_of(name) + 1, stage, replacing=False)
-
-    def replace(self, name: str, stage: QueryStage) -> None:
-        self._splice(self._index_of(name), stage, replacing=True)
-
-    def remove(self, name: str) -> QueryStage:
-        return self._stages.pop(self._index_of(name))
-
-    def _splice(self, index: int, stage: QueryStage,
-                replacing: bool) -> None:
-        """Atomic mutation: a rejected stage leaves the chain as-is."""
-        others = [existing.name
-                  for position, existing in enumerate(self._stages)
-                  if not (replacing and position == index)]
-        if stage.name in others:
-            raise ValueError(
-                f"duplicate stage name {stage.name!r}")
-        if replacing:
-            self._stages[index] = stage
-        else:
-            self._stages.insert(index, stage)
-
-    def _check_unique_names(self) -> None:
-        names = self.stage_names()
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate stage names: {sorted(names)}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Callable, Iterator
 
 from ..core.deadline import Deadline, deadline_scope
@@ -62,7 +61,8 @@ class CorpusHandle:
         return [breaker.state for breaker in self.breakers]
 
     def narrative_mapper(self):
-        """The engine's mapper (kept for callers that instrument it)."""
+        """The engine's one cached mapper, which every narrative
+        request of this corpus maps through."""
         return self.engine.narrative_mapper()
 
 
@@ -118,13 +118,10 @@ class SearchService:
                 narrative: bool = False) -> SearchOutcome:
         """One breaker-guarded, deadline-scoped search.
 
-        ``narrative=True`` maps the query string through the engine's
-        clinical-narrative mapper first and annotates the outcome with
-        the mapping provenance; the mapping happens once, before
-        execution, so coalesced followers and shard fan-outs all see
-        the same keywords, and per request, so the warm engine is never
-        mutated. With ``narrative=False`` (the default) the path is
-        byte-identical to before the mapper existed.
+        ``narrative=True`` is forwarded to
+        :meth:`~repro.core.query.engine.SearchEngine.search_outcome`,
+        which maps the query string once, before the shard fan-out,
+        and annotates the outcome with the mapping provenance.
 
         Open breakers are skipped before any store access; a shard's
         ``StorageError`` is absorbed (served around) and charged to
@@ -138,10 +135,6 @@ class SearchService:
         StorageErrors never escape -- they become degraded shards.
         """
         handle = self.corpus(corpus)
-        mapping = None
-        if narrative and isinstance(query, str):
-            mapping = handle.engine.narrative_mapper().map(query)
-            query = mapping.query
         skip = frozenset(
             shard for shard, breaker in enumerate(handle.breakers)
             if not breaker.allow())
@@ -156,8 +149,8 @@ class SearchService:
 
         with deadline_scope(deadline):
             outcome = handle.engine.search_outcome(
-                query, k, deadline=deadline, skip_shards=skip,
-                on_shard_error=on_shard_error)
+                query, k, narrative=narrative, deadline=deadline,
+                skip_shards=skip, on_shard_error=on_shard_error)
         for shard, breaker in enumerate(handle.breakers):
             if shard not in skip and shard not in failed:
                 breaker.record_success()
@@ -165,6 +158,4 @@ class SearchService:
             self.stats.increment(SERVER_DEGRADED_RESPONSES)
         if outcome.partial:
             self.stats.increment(SERVER_PARTIAL_RESPONSES)
-        if mapping is not None:
-            outcome = replace(outcome, narrative=mapping)
         return outcome

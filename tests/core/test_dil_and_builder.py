@@ -19,7 +19,6 @@ from repro.ir.tokenizer import Keyword
 from repro.ontology import TerminologyService
 from repro.ontology.snomed import (ASTHMA, BRONCHIAL_STRUCTURE,
                                    build_core_ontology)
-from repro.storage.memory_store import MemoryStore
 from repro.xmldoc.dewey import DeweyID
 from repro.xmldoc.model import Corpus
 
@@ -98,19 +97,6 @@ class TestIndexBuilder:
         index = XOntoDILIndex(strategy="x")
         assert index.average_stats() == {"creation_time_ms": 0.0,
                                          "postings": 0.0, "size_kb": 0.0}
-
-    def test_save_load_roundtrip(self, pieces):
-        _, _, builder = pieces
-        index = builder.build(["asthma", "medications"],
-                              strategy_name=RELATIONSHIPS)
-        store = MemoryStore()
-        index.save(store)
-        loaded = XOntoDILIndex.load(store, RELATIONSHIPS)
-        assert loaded.keywords() == index.keywords()
-        for key in index.keywords():
-            keyword = Keyword.from_text(key)
-            assert loaded.get(keyword).encoded() == \
-                index.get(keyword).encoded()
 
 
 class TestVocabulary:

@@ -16,7 +16,10 @@ one and a federation of three in one service and pins
   applies (exact outcomes);
 * by AST, that ``src/`` holds no ``isinstance(..., FederatedEngine)``
   and no ``XOntoRankEngine | FederatedEngine`` annotation, so the fork
-  this protocol replaced cannot grow back unnoticed.
+  this protocol replaced cannot grow back unnoticed;
+* one narrative mapping per request, at one site in ``src/``
+  (``SearchEngine.search_outcome``), and by AST that ``QueryPipeline``
+  has no method that mutates its stages.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.core.query.engine import SearchEngine, XOntoRankEngine
 from repro.core.query.federated import (FederatedEngine,
                                         shard_store_path,
                                         shard_store_paths)
+from repro.core.stats import NARRATIVE_QUERIES
 from repro.server import SearchService
 from repro.server.breaker import CLOSED, OPEN
 from repro.storage.errors import StorageError
@@ -148,7 +152,7 @@ class TestOneProtocol:
         assert stack.run("fed1", NARRATIVE, narrative=True) == leaf
         assert stack.run("fed3", NARRATIVE, narrative=True) == leaf
         # Per-request mapping never mutates the warm engines.
-        assert stack.leaf.pipeline.stage_names()[0] == "parse"
+        assert stack.leaf.pipeline.stages[0].name == "parse"
         assert stack.run("leaf", "asthma")["narrative"] is None
 
     def test_one_mapper_per_engine(self, stack):
@@ -156,16 +160,37 @@ class TestOneProtocol:
             engine = getattr(stack, name)
             mapper = engine.narrative_mapper()
             assert engine.narrative_mapper() is mapper
-            assert engine.enable_narrative() is mapper
-            engine.disable_narrative()
+            assert stack.handles[name].narrative_mapper() is mapper
 
     def test_enabled_narrative_is_equivalent_too(self, stack):
-        for name in NAMES:
-            getattr(stack, name).enable_narrative()
-        leaf = fields(stack.leaf.search_outcome(NARRATIVE, k=5))
+        def direct(name):
+            return fields(getattr(stack, name).search_outcome(
+                NARRATIVE, k=5, narrative=True))
+
+        leaf = direct("leaf")
         assert leaf["narrative"] is not None
-        assert fields(stack.fed1.search_outcome(NARRATIVE, k=5)) == leaf
-        assert fields(stack.fed3.search_outcome(NARRATIVE, k=5)) == leaf
+        assert direct("fed1") == leaf
+        assert direct("fed3") == leaf
+        assert stack.run("leaf", NARRATIVE, narrative=True) == leaf
+
+    def test_one_mapping_per_narrative_request(self, stack):
+        """``query.narrative.queries`` grows by exactly one per
+        narrative request, whichever engine answers it and whether or
+        not the service is in front; plain requests map nothing."""
+        for name in NAMES:
+            engine = getattr(stack, name)
+            requests = (
+                (lambda: engine.search_outcome(
+                    NARRATIVE, k=5, narrative=True), 1),
+                (lambda: stack.service.execute(
+                    name, NARRATIVE, k=5, narrative=True), 1),
+                (lambda: stack.service.execute(name, NARRATIVE, k=5), 0),
+                (lambda: engine.search_outcome(NARRATIVE, k=5), 0))
+            for request, growth in requests:
+                before = engine.stats.value(NARRATIVE_QUERIES)
+                request()
+                assert engine.stats.value(NARRATIVE_QUERIES) \
+                    == before + growth, name
 
 
 class TestDegradation:
@@ -277,4 +302,79 @@ class TestTheForkCannotGrowBack:
                     if {"FederatedEngine", "XOntoRankEngine"} \
                             <= self._names(annotation):
                         offenders.append(f"{path}:{node.lineno}")
+        assert not offenders, offenders
+
+
+class TestOneNarrativePath:
+    """Narrative text is mapped in one place, and the stage chain it
+    used to be spliced into cannot be mutated again."""
+
+    SOURCE_ROOT = pathlib.Path(repro.__file__).parent
+
+    def test_narrative_text_is_mapped_at_one_site(self):
+        sites = []
+        for path in TestTheForkCannotGrowBack.SOURCES:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in ast.walk(tree):
+                if not isinstance(scope, ast.ClassDef):
+                    continue
+                for method in scope.body:
+                    if not isinstance(method, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef)):
+                        continue
+                    for node in ast.walk(method):
+                        if not (isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Attribute)
+                                and node.func.attr == "map"):
+                            continue
+                        receiver = ast.unparse(node.func.value)
+                        if "mapper" in receiver.lower() or (
+                                receiver == "self"
+                                and "Mapper" in scope.name):
+                            sites.append((
+                                path.relative_to(self.SOURCE_ROOT)
+                                .as_posix(),
+                                f"{scope.name}.{method.name}",
+                                receiver))
+        assert sites == [("core/query/engine.py",
+                          "SearchEngine.search_outcome",
+                          "self.narrative_mapper()")]
+
+    def test_query_pipeline_never_mutates_its_stages(self):
+        from repro.core.query import pipeline
+        tree = ast.parse(pathlib.Path(pipeline.__file__)
+                         .read_text(encoding="utf-8"))
+        (cls,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "QueryPipeline"]
+        mutators = {"append", "extend", "insert", "pop", "remove",
+                    "clear", "reverse", "sort", "__setitem__",
+                    "__delitem__"}
+        offenders = []
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in mutators):
+                    offenders.append(f"{method.name}: call "
+                                     f"{ast.unparse(node.func)}")
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target]
+                           if isinstance(node, (ast.AugAssign,
+                                                ast.AnnAssign))
+                           else node.targets
+                           if isinstance(node, ast.Delete) else [])
+                for target in targets:
+                    text = ast.unparse(target)
+                    if not text.startswith("self."):
+                        continue
+                    # The one write: the tuple fixed at construction.
+                    if (method.name == "__init__"
+                            and isinstance(node, ast.AnnAssign)
+                            and isinstance(node.value, ast.Call)
+                            and ast.unparse(node.value.func) == "tuple"):
+                        continue
+                    offenders.append(f"{method.name}: writes {text}")
         assert not offenders, offenders

@@ -134,7 +134,7 @@ class TestEngineFacade:
         engine = XOntoRankEngine(corpus, strategy="xrank")
         assert engine.builder is engine.index_manager.builder
         assert engine.dil_cache is engine.index_manager.dil_cache
-        assert engine.pipeline.stage_names() == \
+        assert [stage.name for stage in engine.pipeline.stages] == \
             ["parse", "dil_fetch", "merge", "rank"]
 
 

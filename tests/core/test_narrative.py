@@ -2,10 +2,10 @@
 
 Covers the whole mapping ladder (exact → synonym → parent-term →
 plain-keyword degradation) on both terminology representations, the
-specificity weighting and cap, the optional pipeline stage, and the
-acceptance-criteria differential: with narrative mode off, engine,
-federated and pre-parsed paths are byte-identical to a build that
-never had the stage.
+specificity weighting and cap, the per-call ``narrative=True`` step
+ahead of ``parse``, and the acceptance-criteria differential: plain
+calls on engine, federated and pre-parsed paths are byte-identical to
+an engine that never mapped a narrative.
 """
 
 import pytest
@@ -15,8 +15,7 @@ from repro.core import stats as counters
 from repro.core.obs.tracer import Tracer
 from repro.core.query.federated import FederatedEngine
 from repro.core.query.narrative import (EXACT, KEYWORD, PARENT, SYNONYM,
-                                        NarrativeQueryMapper,
-                                        NarrativeStage)
+                                        NarrativeQueryMapper)
 from repro.core.stats import StatsRegistry
 from repro.ir.tokenizer import KeywordQuery
 from repro.ontology.api import TerminologyService
@@ -163,36 +162,35 @@ class TestObservability:
 
 
 class TestNarrativeStage:
+    """The narrative step of a search: ``narrative=True`` maps the text
+    ahead of the pipeline's ``parse`` stage, per call."""
+
     def test_stage_inserts_before_parse(self, figure1_corpus,
                                         core_ontology):
-        engine = XOntoRankEngine(figure1_corpus, core_ontology)
-        engine.enable_narrative()
-        assert engine.pipeline.stage_names() == \
-            ["narrative", "parse", "dil_fetch", "merge", "rank"]
+        tracer = Tracer()
+        engine = XOntoRankEngine(figure1_corpus, core_ontology,
+                                 tracer=tracer)
+        engine.search_outcome("asthma and medications", k=3,
+                              narrative=True)
+        names = [span.name for span in tracer.finished()]
+        assert names.index("query.narrative.map") \
+            < names.index("query.parse")
+        # The chain itself never changes.
+        assert [stage.name for stage in engine.pipeline.stages] == \
+            ["parse", "dil_fetch", "merge", "rank"]
 
-    def test_double_enable_rejected(self, figure1_corpus,
-                                    core_ontology):
-        engine = XOntoRankEngine(figure1_corpus, core_ontology)
-        engine.enable_narrative()
-        with pytest.raises(ValueError):
-            engine.enable_narrative()
-
-    def test_xrank_engine_needs_explicit_mapper(self, figure1_corpus,
-                                                core_ontology):
+    def test_xrank_engine_rejects_narrative(self, figure1_corpus):
         engine = XOntoRankEngine(figure1_corpus, None, strategy=XRANK)
-        with pytest.raises(ValueError):
-            engine.enable_narrative()
-        mapper = NarrativeQueryMapper(
-            TerminologyService([core_ontology]))
-        engine.enable_narrative(mapper)
-        assert "narrative" in engine.pipeline.stage_names()
+        with pytest.raises(ValueError, match="needs an ontology"):
+            engine.search_outcome("asthma", k=3, narrative=True)
+        # Without the flag the same engine answers as always.
+        assert engine.search_outcome("asthma", k=3).narrative is None
 
     def test_preparsed_query_passes_through(self, figure1_corpus,
                                             core_ontology):
         engine = XOntoRankEngine(figure1_corpus, core_ontology)
-        engine.enable_narrative()
         query = KeywordQuery.parse("asthma medications")
-        outcome = engine.search_outcome(query, k=3)
+        outcome = engine.search_outcome(query, k=3, narrative=True)
         assert outcome.narrative is None
         plain = XOntoRankEngine(figure1_corpus, core_ontology)
         assert outcome.results == plain.search_outcome(query, k=3).results
@@ -200,8 +198,8 @@ class TestNarrativeStage:
     def test_provenance_reaches_the_outcome(self, figure1_corpus,
                                             core_ontology):
         engine = XOntoRankEngine(figure1_corpus, core_ontology)
-        engine.enable_narrative()
-        outcome = engine.search_outcome("asthma and medications", k=3)
+        outcome = engine.search_outcome("asthma and medications", k=3,
+                                        narrative=True)
         assert outcome.narrative is not None
         assert outcome.narrative.text == "asthma and medications"
         methods = {m.method for m in outcome.narrative.mappings}
@@ -215,34 +213,32 @@ class TestNarrativeOffDifferential:
                                                      figure1_corpus,
                                                      core_ontology):
         engine = XOntoRankEngine(figure1_corpus, core_ontology)
-        assert engine.pipeline.stage_names() == \
+        assert [stage.name for stage in engine.pipeline.stages] == \
             ["parse", "dil_fetch", "merge", "rank"]
 
     def test_enable_disable_restores_identical_results(
             self, figure1_corpus, core_ontology):
+        """A narrative call leaves nothing behind: the next plain call
+        answers as an engine that never mapped anything."""
         query = '"bronchial structure" theophylline'
         plain = XOntoRankEngine(figure1_corpus, core_ontology)
-        toggled = XOntoRankEngine(figure1_corpus, core_ontology)
+        used = XOntoRankEngine(figure1_corpus, core_ontology)
         before = plain.search_outcome(query, k=5)
-        toggled.enable_narrative()
-        toggled.disable_narrative()
-        after = toggled.search_outcome(query, k=5)
+        used.search_outcome("asthma and medications", k=5,
+                            narrative=True)
+        after = used.search_outcome(query, k=5)
         assert after.results == before.results
         assert after.narrative is None
-        assert toggled.pipeline.stage_names() == \
-            plain.pipeline.stage_names()
 
     def test_federated_narrative_matches_single(self, cda_corpus,
                                                 synthetic_ontology):
         text = "was in cardiac arrest and is on amiodarone"
         single = XOntoRankEngine(cda_corpus, synthetic_ontology,
                                  strategy=RELATIONSHIPS)
-        single.enable_narrative()
         federated = FederatedEngine(cda_corpus, synthetic_ontology,
                                     strategy=RELATIONSHIPS, shards=3)
-        federated.enable_narrative()
-        a = single.search_outcome(text, k=5)
-        b = federated.search_outcome(text, k=5)
+        a = single.search_outcome(text, k=5, narrative=True)
+        b = federated.search_outcome(text, k=5, narrative=True)
         assert [r.dewey for r in a.results] == [r.dewey for r in b.results]
         assert str(a.narrative.query) == str(b.narrative.query)
 
@@ -251,11 +247,10 @@ class TestNarrativeOffDifferential:
         query = '"cardiac arrest" amiodarone'
         baseline = FederatedEngine(cda_corpus, synthetic_ontology,
                                    shards=2)
-        toggled = FederatedEngine(cda_corpus, synthetic_ontology,
-                                  shards=2)
-        toggled.enable_narrative()
-        toggled.disable_narrative()
+        used = FederatedEngine(cda_corpus, synthetic_ontology, shards=2)
+        used.search_outcome("was in cardiac arrest", k=5,
+                            narrative=True)
         a = baseline.search_outcome(query, k=5)
-        b = toggled.search_outcome(query, k=5)
+        b = used.search_outcome(query, k=5)
         assert a.results == b.results
         assert b.narrative is None

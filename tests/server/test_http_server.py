@@ -31,8 +31,9 @@ class SlowEngine:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def search_outcome(self, query, k=None, *, deadline=None,
-                       skip_shards=(), on_shard_error=None):
+    def search_outcome(self, query, k=None, *, narrative=False,
+                       deadline=None, skip_shards=(),
+                       on_shard_error=None):
         with self._lock:
             self.calls += 1
         time.sleep(self.delay)
@@ -268,8 +269,8 @@ class TestNarrativeParam:
             "/search?q=asthma+and+medications&narrative=1&k=3")
         assert status == 200
         reference = XOntoRankEngine(figure1_corpus, core_ontology)
-        reference.enable_narrative()
-        expected = reference.search_outcome("asthma and medications", k=3)
+        expected = reference.search_outcome("asthma and medications", k=3,
+                                            narrative=True)
         assert [entry["dewey"] for entry in body["results"]] \
             == [result.dewey.encode() for result in expected.results]
         assert body["narrative"]["mapped_query"] \

@@ -95,47 +95,6 @@ class TestMetadata:
         assert sorted(store.metadata_keys()) == ["decay", "strategy"]
 
 
-class TestLegacyKeyNormalization:
-    """Pre-quoting stores keyed multi-word phrases bare (``heart
-    murmur``); ``XOntoDILIndex.load`` re-keys them to the canonical
-    quoted form, so a save back to the *same* store must delete the
-    stale bare row -- otherwise the postings exist twice and
-    ``total_size_bytes`` doubles on the next load."""
-
-    LEGACY_KEY = "heart murmur"
-    CANONICAL_KEY = '"heart murmur"'
-
-    def seed_legacy(self, store):
-        store.put_postings("graph", self.LEGACY_KEY, POSTINGS)
-        store.put_postings("graph", "asthma", POSTINGS[:1])
-
-    def test_load_save_load_does_not_duplicate(self, store):
-        from repro.core.index.dil import XOntoDILIndex
-        self.seed_legacy(store)
-        index = XOntoDILIndex.load(store, "graph")
-        assert sorted(index.lists) == [self.CANONICAL_KEY, "asthma"]
-        size = index.total_size_bytes()
-        postings = index.total_postings()
-
-        index.save(store)
-        assert sorted(store.keywords("graph")) == \
-            [self.CANONICAL_KEY, "asthma"]
-        reloaded = XOntoDILIndex.load(store, "graph")
-        assert sorted(reloaded.lists) == [self.CANONICAL_KEY, "asthma"]
-        assert reloaded.total_postings() == postings
-        assert reloaded.total_size_bytes() == size
-        assert reloaded.lists[self.CANONICAL_KEY].encoded() == POSTINGS
-
-    def test_save_only_migrates_keys_it_owns(self, store):
-        """A bare key whose canonical form is *not* in the index (e.g.
-        another load dropped it) must survive a save untouched."""
-        from repro.core.index.dil import XOntoDILIndex
-        store.put_postings("graph", "aortic stenosis", POSTINGS)
-        index = XOntoDILIndex(strategy="graph")
-        index.save(store)
-        assert list(store.keywords("graph")) == ["aortic stenosis"]
-
-
 class TestCanonicalDump:
     def test_backend_independent(self):
         memory, sqlite = MemoryStore(), SQLiteStore()

@@ -334,18 +334,30 @@ class TestSharded:
         ["compact", "--store", "S", "--shards", "-3"],
         ["search", "--data", "D", "fever", "--retries", "-1"],
         ["index", "--data", "D", "--store", "S", "--radius", "-1"],
+        ["serve", "--data", "D", "--queue", "-1"],
+        ["serve", "--data", "D", "--timeout-ms", "-5"],
+        ["serve", "--data", "D", "--drain-grace", "-1"],
+        ["serve", "--data", "D", "--breaker-cooldown", "-1"],
+        ["evaluate", "--data", "D", "--k", "0"],
+        ["generate", "--out", "D", "--patients", "0"],
+        ["search", "--data", "D", "fever", "--fragment-lines", "-2"],
+        ["serve", "--data", "D", "--drain-grace", "nan"],
     ])
     def test_bad_counts_are_usage_errors(self, argv, capsys):
         """These used to be tracebacks (--shard-workers 0,
-        --cache-size -1, --radius -1), a silent fall-back to the
-        unsharded path with a misleading "no index store" (compact
-        --shards 0), or silently accepted (--retries -1)."""
+        --cache-size -1, --radius -1, the serve queue/timeout/seconds
+        flags, evaluate --k 0), a silent fall-back to the unsharded
+        path with a misleading "no index store" (compact --shards 0),
+        an empty corpus `index` then rejects (generate --patients 0),
+        or silently accepted (--retries -1, --fragment-lines -2).
+        Each is now rejected before any data is read."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "usage:" in message
-        assert "integer" in message
+        seconds = {"--drain-grace", "--breaker-cooldown"} & set(argv)
+        assert ("number" if seconds else "integer") in message
 
     def test_cache_size_zero_still_disables_the_cache(self, data_dir,
                                                       capsys):
