@@ -1,20 +1,11 @@
 """Command-line interface: the full pipeline as a tool.
 
-Four subcommands mirror the system's phases::
+Eight subcommands mirror the system's phases (``serve``, the HTTP
+service, is specified in docs/SERVING.md)::
 
     python -m repro generate --out DIR [--patients 40] [--seed 7]
         Build the synthetic SNOMED (flat files) and the CDA corpus
         (one XML file per patient) under DIR.
-
-    python -m repro build-ontology --store FILE.db
-        [--data DIR | --scale F | --target-concepts N]
-        [--store-format sqlite|mmap] [--profile]
-        Build the persisted concept indexes of the ontology service:
-        exact + per-token name/synonym lookup, cross-references into
-        foreign code systems, and the is-a ancestor/descendant closure
-        with depths. With --data the ontology under DIR/ontology is
-        indexed; without it a synthetic SNOMED is *streamed* into the
-        build (--target-concepts 100000 never materializes the graph).
 
     python -m repro index --data DIR --store FILE.db
         [--strategy relationships] [--radius 2]
@@ -77,10 +68,12 @@ Four subcommands mirror the system's phases::
     python -m repro stats --data DIR
         Print ontology/corpus/vocabulary statistics.
 
-``index`` and ``search`` also accept --decay/--threshold/--t to move
-the paper's parameters off their published defaults. ``index`` writes
-the database to a temporary sibling path and atomically renames it into
-place, so a killed build never publishes a partial store.
+``index``, ``search`` and ``serve`` also accept --decay/--threshold/--t
+to move the paper's parameters off their published defaults; a value
+outside the range ``XOntoRankConfig`` accepts is a usage error.
+``index`` writes the database to a temporary sibling path and
+atomically renames it into place, so a killed build never publishes a
+partial store.
 
 ``index``, ``search`` and ``serve`` accept ``--shards N`` (and
 ``--shard-workers M`` for a thread-pool fan-out): every command runs
@@ -104,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from typing import Sequence
@@ -116,18 +110,15 @@ from .core.obs import (Tracer, render_profile, write_chrome_trace,
 from .core.query.engine import SearchEngine, build_engines
 from .core.stats import (FALLBACK_STORE_DISCARDS, ONTOLOGY_CACHE_HITS,
                          ONTOLOGY_CACHE_INVALIDATIONS,
-                         ONTOLOGY_CACHE_MISSES, StatsRegistry)
+                         ONTOLOGY_CACHE_MISSES)
 from .core.query.federated import FederatedEngine, shard_store_paths
 from .emr.synth import generate_cardiac_emr
 from .evaluation.metrics import run_survey
 from .evaluation.oracle import RelevanceOracle
 from .evaluation.workload import table1_queries
 from .ontology.api import TerminologyService
-from .ontology.indexes import build_ontology_indexes
 from .ontology.io import load_ontology, save_ontology
-from .ontology.snomed import (SNOMED_NAME, SNOMED_SYSTEM_CODE,
-                              SyntheticSnomedBuilder,
-                              build_synthetic_snomed)
+from .ontology.snomed import build_synthetic_snomed
 from .storage.errors import StorageError
 from .storage.manifest import (CHECKSUM_KEY_PREFIX, MANIFEST_VERSION_KEY,
                                atomic_sqlite_build, verify_manifest)
@@ -338,42 +329,6 @@ def _atomic_build(path: str, store_format: str):
     if store_format == "mmap":
         return atomic_mmap_build(path)
     return atomic_sqlite_build(path)
-
-
-def command_build_ontology(args: argparse.Namespace) -> int:
-    """``repro build-ontology``: persist the concept indexes
-    (name/synonym, cross-reference, hierarchy closure) of an ontology
-    into a store, so terminology resolution never loads the graph."""
-    tracer = _tracer_from(args)
-    stats = StatsRegistry()
-    if tracer is not None:
-        tracer.registry = stats
-    with _atomic_build(args.store, args.store_format) as store:
-        if args.data:
-            ontology = load_ontology(os.path.join(args.data,
-                                                  ONTOLOGY_DIR))
-            indexes = build_ontology_indexes(ontology, store,
-                                             tracer=tracer)
-        else:
-            # Streamed: the 10^5+-concept synthetic SNOMED flows
-            # straight into the index builder, never materialized.
-            builder = SyntheticSnomedBuilder(
-                scale=args.scale, seed=args.ontology_seed,
-                target_concepts=args.target_concepts)
-            indexes = build_ontology_indexes(
-                builder.stream(), store,
-                system_code=SNOMED_SYSTEM_CODE, name=SNOMED_NAME,
-                tracer=tracer)
-        concepts = indexes.concept_count
-        fingerprint = indexes.fingerprint
-    print(f"built ontology indexes: {concepts} concepts -> "
-          f"{args.store}")
-    print(f"ontology fingerprint: {fingerprint}")
-    print(f"audit with `python -m repro verify-index "
-          f"--store {args.store}`")
-    if tracer is not None and args.profile:
-        print(render_profile(stats, tracer))
-    return 0
 
 
 def command_index(args: argparse.Namespace) -> int:
@@ -734,13 +689,13 @@ def command_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
-def _bounded(text: str, parse, minimum, kind: str):
+def _bounded(text: str, parse, minimum, kind: str, maximum=math.inf):
     try:
         value = parse(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid {parse.__name__} value: {text!r}") from None
-    if not value >= minimum:  # also rejects a float NaN
+    if not minimum <= value <= maximum:  # also rejects a float NaN
         raise argparse.ArgumentTypeError(
             f"must be a {kind} (got {value})")
     return value
@@ -765,6 +720,14 @@ def _non_negative_float(text: str) -> float:
     """Argparse type for durations in seconds (``--drain-grace``,
     ``--breaker-cooldown``): negatives are a usage error."""
     return _bounded(text, float, 0.0, "non-negative number")
+
+
+def _positive_finite_float(text: str) -> float:
+    """Argparse type for ``generate --scale``: a size multiplier must
+    be a finite number above zero (``math.ulp(0.0)`` is the least
+    positive float)."""
+    return _bounded(text, float, math.ulp(0.0), "positive finite number",
+                    maximum=sys.float_info.max)
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser,
@@ -806,36 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=7,
                           help="EMR generator seed")
     generate.add_argument("--ontology-seed", type=int, default=20090331)
-    generate.add_argument("--scale", type=float, default=1.0,
+    generate.add_argument("--scale", type=_positive_finite_float,
+                          default=1.0,
                           help="ontology size multiplier")
     generate.set_defaults(handler=command_generate)
-
-    build_ontology = subparsers.add_parser(
-        "build-ontology",
-        help="build and persist the ontology concept indexes "
-             "(name/synonym, xref, hierarchy closure)")
-    build_ontology.add_argument(
-        "--store", required=True,
-        help="destination store for the concept indexes")
-    build_ontology.add_argument(
-        "--store-format", choices=("sqlite", "mmap"), default="sqlite",
-        help="storage backend (default: sqlite; mmap writes the "
-             "immutable XMS1 image)")
-    build_ontology.add_argument(
-        "--data", default=None,
-        help="data directory whose ontology/ to index; omit to "
-             "stream a generated synthetic SNOMED instead")
-    build_ontology.add_argument("--scale", type=float, default=1.0,
-                                help="synthetic ontology size "
-                                     "multiplier (without --data)")
-    build_ontology.add_argument("--ontology-seed", type=int,
-                                default=20090331)
-    build_ontology.add_argument(
-        "--target-concepts", type=int, default=None,
-        help="generate approximately this many concepts "
-             "(overrides --scale)")
-    _add_profiling_flags(build_ontology)
-    build_ontology.set_defaults(handler=command_build_ontology)
 
     index = subparsers.add_parser(
         "index", aliases=["build-index"],
@@ -986,6 +923,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "decay"):
+        # The parameter ranges live in XOntoRankConfig alone: build it
+        # now, so an out-of-range value is a usage error before any
+        # data is read.
+        try:
+            _config_from(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.handler(args)
 
 

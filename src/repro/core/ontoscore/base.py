@@ -252,8 +252,9 @@ class OntoScoreComputer(ABC):
 
         The in-memory per-keyword cache stays in front (one store read
         per keyword per computer lifetime); on a persistent miss the
-        freshly computed expansion is written back, so the next build
-        against the same ontology/strategy/parameters starts warm. The
+        freshly computed expansion is put back (buffered until the
+        cache flushes), so the next build against the same
+        ontology/strategy/parameters starts warm. The
         caller is responsible for binding the cache to this computer's
         strategy and parameters -- the cache's descriptor check only
         protects against *stores* from other configurations.

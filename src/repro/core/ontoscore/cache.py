@@ -13,6 +13,13 @@ does not match the attaching computation is **invalidated**: the cache
 advances to a fresh generation (an epoch-suffixed posting namespace)
 rather than serving scores from a different ontology or configuration.
 
+Write-back is buffered: :meth:`OntoScoreCache.put` holds each computed
+expansion in memory (where :meth:`~OntoScoreCache.get` already sees it)
+until :meth:`~OntoScoreCache.flush` lands the whole batch with one
+``put_postings_many`` -- one transaction per build on SQLite, not one
+per keyword. The engine's ``build_index`` and ``add_documents`` flush,
+and so does :meth:`~OntoScoreCache.close`.
+
 Counters (``ontology.cache.hits`` / ``.misses`` / ``.invalidations``)
 land in the engine's :class:`~repro.core.stats.StatsRegistry`, so a
 ``--verbose`` build prints the warm/cold ratio next to the DIL cache
@@ -96,6 +103,8 @@ class OntoScoreCache:
                                      (epoch_key, str(epoch))])
         self._namespace = f"onto.cache.{strategy}.{epoch}"
         self.epoch = epoch
+        # Expansions put since the last flush, keyed like the store.
+        self._pending: dict[str, list[tuple[str, float]]] = {}
 
     @property
     def store(self) -> IndexStore:
@@ -115,9 +124,12 @@ class OntoScoreCache:
                 else keyword.text)
 
     def get(self, keyword: Keyword) -> dict[str, float] | None:
-        """The cached expansion map, or ``None`` on a miss."""
-        postings = self._store.get_postings(self._namespace,
-                                            self._key(keyword))
+        """The cached expansion map (buffered or stored), or ``None``
+        on a miss."""
+        key = self._key(keyword)
+        postings = self._pending.get(key)
+        if postings is None:
+            postings = self._store.get_postings(self._namespace, key)
         if not postings:
             self._stats.increment(ONTOLOGY_CACHE_MISSES)
             return None
@@ -127,7 +139,8 @@ class OntoScoreCache:
         return {code: score for code, score in postings}
 
     def put(self, keyword: Keyword, scores: dict[str, float]) -> None:
-        """Write back one keyword's expansion (empty maps included)."""
+        """Buffer one keyword's expansion (empty maps included) for the
+        next :meth:`flush`."""
         if scores:
             postings = sorted(
                 ((str(code), float(score))
@@ -137,8 +150,14 @@ class OntoScoreCache:
                                   else (1, 0, item[0])))
         else:
             postings = [_EMPTY_SENTINEL]
-        self._store.put_postings(self._namespace, self._key(keyword),
-                                 postings)
+        self._pending[self._key(keyword)] = postings
+
+    def flush(self) -> None:
+        """Write every buffered expansion with one ``put_postings_many``."""
+        if self._pending:
+            pending, self._pending = self._pending, {}
+            self._store.put_postings_many(self._namespace, pending.items())
 
     def close(self) -> None:
+        self.flush()
         self._store.close()

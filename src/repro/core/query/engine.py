@@ -88,6 +88,7 @@ class SearchEngine:
         self.terminology: TerminologyService | None = None
         self._narrative_mapper = None
         self._narrative_lock = threading.Lock()
+        self._ontology_cache = None
 
     def _make_builder(self, element_index: ElementIndex | None,
                       seed_scorer: SeedScorer | None) -> IndexBuilder:
@@ -135,7 +136,14 @@ class SearchEngine:
             store, self.ontology.fingerprint(), self.strategy,
             expansion_params(self.config), stats=self.stats)
         self.ontoscore.attach_persistent_cache(cache)
+        self._ontology_cache = cache
         return cache
+
+    def _flush_ontology_cache(self) -> None:
+        """Land the expansions a build computed in the attached cache:
+        one write batch per build, not one per keyword."""
+        if self._ontology_cache is not None:
+            self._ontology_cache.flush()
 
     # ------------------------------------------------------------------
     # Query phase
@@ -384,8 +392,10 @@ class XOntoRankEngine(SearchEngine):
         # Inert shim: ``workers`` is accepted and ignored because
         # benchmarks/e2e/building.py still passes workers=1. It goes when
         # ROADMAP item 1's [benchmark] PR drops index.build.workers2_wall_s.
-        return self.index_manager.build_index(
+        index = self.index_manager.build_index(
             vocabulary=vocabulary, radius=radius, store=store)
+        self._flush_ontology_cache()
+        return index
 
     def load_index(self, store: IndexStore, *, validate: bool = True,
                    fallback: bool = True) -> int:
@@ -412,8 +422,10 @@ class XOntoRankEngine(SearchEngine):
                       radius: int = 2):
         """Index new documents as one immutable appended segment; no
         existing segment is rebuilt. Returns the new segment catalog."""
-        return self.index_manager.add_documents(documents, store,
-                                                radius=radius)
+        catalog = self.index_manager.add_documents(documents, store,
+                                                   radius=radius)
+        self._flush_ontology_cache()
+        return catalog
 
     def remove_documents(self, doc_ids, store: IndexStore):
         """Tombstone documents: they vanish from query results with one

@@ -336,6 +336,7 @@ class FederatedEngine(SearchEngine):
                 lambda engine, shard: engine.build_index(
                     vocabulary=vocabulary,
                     store=stores[shard] if stores is not None else None))
+        self._flush_ontology_cache()
         return self._combine(shard_indices)
 
     def _combine(self,
@@ -436,6 +437,7 @@ class FederatedEngine(SearchEngine):
                     self.sharded.record(document.doc_id, shard)
                 if document.doc_id not in self.corpus:
                     self.corpus.add(document)
+        self._flush_ontology_cache()
 
     def remove_documents(self, doc_ids,
                          stores: Sequence[IndexStore]) -> None:

@@ -10,13 +10,13 @@ text to a keyword query with AutoHPO's two-stage strategy:
    every in-vocabulary span, and the leftover token runs (split on
    stopwords) become out-of-vocabulary candidates.
 2. **Map** each phrase to ontology concepts through the terminology
-   facade, with a fallback ladder recorded per phrase: *exact*
+   service, with a fallback ladder recorded per phrase: *exact*
    preferred-term match, then *synonym*, then *parent-term* — the
    out-of-vocabulary phrase's per-token concept candidates are
    generalized to their nearest common is-a ancestor (min-hop depths
-   from the persisted :class:`~repro.ontology.indexes.HierarchyIndex`,
-   or a BFS over the graph fallback). A phrase no concept can be found
-   for degrades to its plain content tokens — never silently dropped.
+   from a BFS over the ontology graph). A phrase no concept can be
+   found for degrades to its plain content tokens — never silently
+   dropped.
 3. **Weight** mapped concepts by specificity (hierarchy depth plus
    inverse descendant count, so rare/specific concepts outrank broad
    axes) and emit a :class:`~repro.ir.tokenizer.KeywordQuery` the
@@ -83,9 +83,8 @@ class NarrativeMapping:
 
 
 def _code_order(code: str) -> tuple[int, int, str]:
-    """All-digit concept codes in numeric order, others after (the
-    posting order of the persisted indexes, kept here so graph-backed
-    and index-backed candidate ranking tie-break identically)."""
+    """All-digit concept codes in numeric order, others after: the
+    deterministic tie-break of candidate ranking."""
     if code.isdigit() and (code == "0" or not code.startswith("0")):
         return (0, len(code), code)
     return (1, 0, code)
@@ -115,9 +114,9 @@ class NarrativeQueryMapper:
         self.stopwords = stopwords
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = stats
-        # token -> [(code, weight)] maps for graph-only systems, built
-        # lazily once per system; hierarchy statistics memoized per
-        # concept (the same concepts recur across a workload).
+        # token -> [(code, weight)] maps, built lazily once per system;
+        # hierarchy statistics memoized per concept (the same concepts
+        # recur across a workload).
         self._token_maps: dict[str, dict[str, list[tuple[str, float]]]] = {}
         self._hier_stats: dict[tuple[str, str], tuple[int, int]] = {}
         self._depth_maps: dict[tuple[str, str], dict[str, int]] = {}
@@ -286,17 +285,12 @@ class NarrativeQueryMapper:
         for system in self.terminology.systems():
             if self.system_code is not None and system != self.system_code:
                 continue
-            indexes = self.terminology.indexes(system)
-            if indexes is not None:
-                for code, weight in indexes.names.lookup_token(token):
-                    hits.append((system, code, weight))
-                continue
-            for code, weight in self._graph_token_map(system).get(
+            for code, weight in self._token_map(system).get(
                     token, ()):
                 hits.append((system, code, weight))
         return hits
 
-    def _graph_token_map(self, system: str,
+    def _token_map(self, system: str,
                          ) -> dict[str, list[tuple[str, float]]]:
         cached = self._token_maps.get(system)
         if cached is not None:
@@ -341,16 +335,6 @@ class NarrativeQueryMapper:
         cached = self._depth_maps.get(key)
         if cached is not None:
             return cached
-        indexes = self.terminology.indexes(system)
-        if indexes is not None:
-            depths = {code: 0}
-            depths.update(indexes.hierarchy.ancestors(code))
-        else:
-            depths = self._bfs_depths(system, code)
-        self._depth_maps[key] = depths
-        return depths
-
-    def _bfs_depths(self, system: str, code: str) -> dict[str, int]:
         ontology = self.terminology.ontology(system)
         depths = {code: 0}
         frontier = [code]
@@ -364,6 +348,7 @@ class NarrativeQueryMapper:
                         depths[parent] = hop
                         next_frontier.append(parent)
             frontier = next_frontier
+        self._depth_maps[key] = depths
         return depths
 
     # ------------------------------------------------------------------
@@ -386,16 +371,8 @@ class NarrativeQueryMapper:
         cached = self._hier_stats.get(key)
         if cached is not None:
             return cached
-        indexes = self.terminology.indexes(system)
-        if indexes is not None:
-            ancestors = indexes.hierarchy.ancestors(code)
-            depth = max(ancestors.values(), default=0)
-            descendants = len(indexes.hierarchy.descendants(code))
-        else:
-            depths = self._bfs_depths(system, code)
-            depth = max(depths.values(), default=0)
-            ontology = self.terminology.ontology(system)
-            descendants = len(ontology.descendants(code))
+        depth = max(self._ancestor_depths(system, code).values())
+        descendants = len(self.terminology.ontology(system).descendants(code))
         stats = (depth, descendants)
         self._hier_stats[key] = stats
         return stats

@@ -41,11 +41,11 @@ def tokenize_without_stopwords(
 def normalize_term(term: str) -> str:
     """Canonical form of a term for exact-match lookup.
 
-    This is the *single* normalization both the persisted
-    :class:`~repro.ontology.indexes.NameIndex` keys and the
-    :class:`~repro.ontology.api.TerminologyService` graph-side term
-    index use, so a query-side term always hits the same bucket its
-    ontology-side twin was filed under. Hyphenated clinical terms
+    This is the *single* normalization the
+    :class:`~repro.ontology.api.TerminologyService` term dictionary
+    files ontology terms under and looks query terms up by, so a
+    query-side term always hits the same bucket its ontology-side twin
+    was filed under. Hyphenated clinical terms
     ("X-ray", "super-morbidly obese") normalize to their split tokens
     ("x ray") on both sides by construction.
     """

@@ -13,14 +13,10 @@ Creation Module. This module provides the same operations in-process:
   ontological reference to the concept node it denotes, across a
   collection of registered ontological systems.
 
-The service is a **facade over two representations per system**: the
-persisted concept indexes of :mod:`repro.ontology.indexes` (registered
-with :meth:`TerminologyService.register_indexes`; resolution never
-touches the graph) and the in-memory :class:`Ontology` graph
-(:meth:`TerminologyService.register`; also the fallback when a concept
-payload is missing from the index layer). Code resolution runs under an
-``ontology.resolve`` span and term lookup under ``ontology.lookup_term``,
-each annotated with which layer answered.
+Every system is one in-memory :class:`Ontology` graph, registered with
+:meth:`TerminologyService.register`, which also builds its normalized
+term dictionary. Code resolution runs under an ``ontology.resolve``
+span and term lookup under ``ontology.lookup_term``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Iterable
 from ..core.obs.tracer import NULL_TRACER
 from ..ir.tokenizer import normalize_term, tokenize
 from ..xmldoc.model import OntologicalReference
-from .indexes import TOKEN_PREFIX, NAME_STRATEGY, OntologyIndexes
 from .model import Concept, Ontology, OntologyError
 
 
@@ -49,7 +44,6 @@ class TerminologyService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._systems: dict[str, Ontology] = {}
         self._term_index: dict[str, dict[str, list[str]]] = {}
-        self._indexes: dict[str, OntologyIndexes] = {}
         for ontology in ontologies:
             self.register(ontology)
 
@@ -66,30 +60,14 @@ class TerminologyService:
                 index[self._normalize(term)].append(concept.code)
         self._term_index[ontology.system_code] = dict(index)
 
-    def register_indexes(self, indexes: OntologyIndexes) -> None:
-        """Add a system backed by persisted concept indexes.
-
-        The same system may also be graph-registered; the index layer
-        then answers first and the graph only serves as fallback for
-        payloads the index cannot produce.
-        """
-        if indexes.system_code in self._indexes:
-            raise OntologyError(
-                f"system {indexes.system_code} already index-backed")
-        self._indexes[indexes.system_code] = indexes
-
-    # The one true normalization, shared with the persisted NameIndex
-    # keys (see ``repro.ir.tokenizer.normalize_term``).
+    # The one true normalization (see ``repro.ir.tokenizer``).
     _normalize = staticmethod(normalize_term)
 
     # ------------------------------------------------------------------
     # System access
     # ------------------------------------------------------------------
     def systems(self) -> list[str]:
-        codes = list(self._systems)
-        codes.extend(code for code in self._indexes
-                     if code not in self._systems)
-        return codes
+        return list(self._systems)
 
     def ontology(self, system_code: str) -> Ontology:
         try:
@@ -98,42 +76,20 @@ class TerminologyService:
             raise OntologyError(
                 f"unknown ontological system {system_code}") from None
 
-    def indexes(self, system_code: str) -> OntologyIndexes | None:
-        """The persisted index layer of a system, if registered."""
-        return self._indexes.get(system_code)
-
     def __contains__(self, system_code: str) -> bool:
-        return system_code in self._systems or system_code in self._indexes
+        return system_code in self._systems
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def _concept_via_layers(self, system_code: str,
-                            concept_code: str) -> Concept | None:
-        """Index layer first, graph fallback; ``None`` when neither
-        representation knows the code."""
-        indexes = self._indexes.get(system_code)
-        if indexes is not None:
-            concept = indexes.concept(concept_code)
-            if concept is not None:
-                return concept
-        ontology = self._systems.get(system_code)
-        if ontology is not None and concept_code in ontology:
-            return ontology.concept(concept_code)
-        return None
-
     def concept_for_code(self, system_code: str, concept_code: str,
                          ) -> Concept:
         """Resolve a concept code within a system."""
-        if (system_code not in self._systems
-                and system_code not in self._indexes):
-            raise OntologyError(
-                f"unknown ontological system {system_code}")
-        concept = self._concept_via_layers(system_code, concept_code)
-        if concept is None:
+        ontology = self.ontology(system_code)
+        if concept_code not in ontology:
             raise OntologyError(
                 f"unknown concept {concept_code} in {system_code}")
-        return concept
+        return ontology.concept(concept_code)
 
     def resolve(self, reference: OntologicalReference) -> Concept | None:
         """The paper's ``onto(D, v)``: code node reference → concept.
@@ -145,8 +101,10 @@ class TerminologyService:
         with self.tracer.span("ontology.resolve",
                               system=reference.system_code,
                               code=reference.concept_code) as span:
-            concept = self._concept_via_layers(reference.system_code,
-                                               reference.concept_code)
+            ontology = self._systems.get(reference.system_code)
+            concept = None
+            if ontology is not None and reference.concept_code in ontology:
+                concept = ontology.concept(reference.concept_code)
             span.annotate(found=concept is not None)
             return concept
 
@@ -155,8 +113,7 @@ class TerminologyService:
         """Concepts whose terms match ``term`` after normalization.
 
         Ambiguous terms (one synonym shared by several concepts) return
-        every match; index-backed systems order preferred-term matches
-        before synonym matches.
+        every match, in concept registration order.
         """
         normalized = self._normalize(term)
         if not normalized:
@@ -164,25 +121,13 @@ class TerminologyService:
         with self.tracer.span("ontology.lookup_term",
                               term=normalized) as span:
             results: list[Concept] = []
-            via_index = 0
-            for code in self.systems():
+            for code, ontology in self._systems.items():
                 if system_code is not None and code != system_code:
                     continue
-                indexes = self._indexes.get(code)
-                if indexes is not None:
-                    for concept_code, _weight in indexes.names.lookup(
-                            normalized):
-                        concept = self._concept_via_layers(code,
-                                                           concept_code)
-                        if concept is not None:
-                            results.append(concept)
-                            via_index += 1
-                    continue
-                ontology = self._systems[code]
                 for concept_code in self._term_index[code].get(
                         normalized, ()):
                     results.append(ontology.concept(concept_code))
-            span.annotate(hits=len(results), via_index=via_index)
+            span.annotate(hits=len(results))
         return results
 
     def match_in_text(self, text: str, system_code: str | None = None,
@@ -220,21 +165,13 @@ class TerminologyService:
 
         Section V-B defines the indexing Vocabulary as the union of words
         in the ontological systems and in the documents; this provides
-        the ontology half. Graph-registered systems tokenize their
-        description texts; index-only systems read the token keys of
-        their persisted :class:`~repro.ontology.indexes.NameIndex`.
+        the ontology half: the tokens of every concept's description
+        text.
         """
         words: set[str] = set()
-        for code in self.systems():
+        for code, ontology in self._systems.items():
             if system_code is not None and code != system_code:
                 continue
-            ontology = self._systems.get(code)
-            if ontology is not None:
-                for concept in ontology.concepts():
-                    words.update(tokenize(concept.description_text()))
-                continue
-            indexes = self._indexes[code]
-            for key in indexes.store.keywords(NAME_STRATEGY):
-                if key.startswith(TOKEN_PREFIX):
-                    words.add(key[len(TOKEN_PREFIX):])
+            for concept in ontology.concepts():
+                words.update(tokenize(concept.description_text()))
         return words

@@ -357,8 +357,8 @@ class Ontology:
         Identical content -- concepts (terms, tags, xrefs) plus edges,
         regardless of insertion order -- yields an identical digest; any
         mutation changes it. Versioned persistent artifacts derived from
-        an ontology (concept indexes, the OntoScore expansion cache) key
-        on this digest to detect staleness. The digest is cached until
+        an ontology (the OntoScore expansion cache) key on this digest to
+        detect staleness. The digest is cached until
         the next mutation, so repeated reads are free.
         """
         if self._fingerprint is None:

@@ -34,7 +34,7 @@ SNOMED_NAME = "SNOMED CT"
 
 #: Foreign code systems the synthetic cross-references target (the OIDs
 #: CDA uses for ICD-10, LOINC and RxNorm). SNOMED ships such mappings
-#: as refsets; the XrefIndex resolves them both ways.
+#: as refsets; they are carried on each concept's ``xrefs``.
 ICD10_SYSTEM_CODE = "2.16.840.1.113883.6.3"
 LOINC_SYSTEM_CODE = "2.16.840.1.113883.6.1"
 RXNORM_SYSTEM_CODE = "2.16.840.1.113883.6.88"
@@ -613,8 +613,8 @@ class SyntheticSnomedBuilder:
 
     :meth:`stream` yields :class:`ConceptEntry` rows one at a time
     without materializing a graph -- consumers that only need one pass
-    (the persisted concept indexes, the content fingerprint) stay
-    O(1)-ish in memory; :meth:`build` materializes an
+    (the content fingerprint) stay O(1)-ish in memory; :meth:`build`
+    materializes an
     :class:`Ontology` from the same stream.
 
     All randomness flows from one ``random.Random(seed)`` instance

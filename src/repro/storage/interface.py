@@ -68,7 +68,7 @@ class IndexStore(ABC):
         override this to land the whole batch under one transaction --
         the difference between hundreds and hundreds of thousands of
         lists per second. Every index writer (builds, segment appends,
-        compaction, the ontology indexes) writes through here.
+        compaction, the OntoScore expansion cache) writes through here.
         """
         for keyword, postings in items:
             self.put_postings(strategy, keyword, postings)

@@ -1,7 +1,7 @@
 """The clinical-narrative query front-end.
 
 Covers the whole mapping ladder (exact → synonym → parent-term →
-plain-keyword degradation) on both terminology representations, the
+plain-keyword degradation) over the terminology graph, the
 specificity weighting and cap, the per-call ``narrative=True`` step
 ahead of ``parse``, and the acceptance-criteria differential: plain
 calls on engine, federated and pre-parsed paths are byte-identical to
@@ -19,9 +19,7 @@ from repro.core.query.narrative import (EXACT, KEYWORD, PARENT, SYNONYM,
 from repro.core.stats import StatsRegistry
 from repro.ir.tokenizer import KeywordQuery
 from repro.ontology.api import TerminologyService
-from repro.ontology.indexes import build_ontology_indexes
 from repro.ontology.model import Concept, Ontology
-from repro.storage.memory_store import MemoryStore
 
 
 def _ladder_ontology() -> Ontology:
@@ -50,15 +48,9 @@ def _ladder_ontology() -> Ontology:
     return ontology
 
 
-@pytest.fixture(params=["graph", "index"])
+@pytest.fixture(params=["graph"])
 def mapper(request):
-    if request.param == "graph":
-        service = TerminologyService([_ladder_ontology()])
-    else:
-        service = TerminologyService()
-        service.register_indexes(
-            build_ontology_indexes(_ladder_ontology(), MemoryStore()))
-    return NarrativeQueryMapper(service)
+    return NarrativeQueryMapper(TerminologyService([_ladder_ontology()]))
 
 
 class TestFallbackLadder:

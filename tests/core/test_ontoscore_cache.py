@@ -66,6 +66,20 @@ class TestRoundTrip:
         assert cache.get(PHRASE_KW) == {"1": 1.0}
         assert cache.get(single) == {"2": 1.0}
 
+    def test_put_is_buffered_until_flush(self):
+        store = MemoryStore()
+        cache = _cache(store)
+        cache.put(ASTHMA_KW, SCORES)
+        cache.put(PHRASE_KW, {})
+        # The writer sees its own buffer; the store sees nothing yet.
+        assert cache.get(ASTHMA_KW) == SCORES
+        assert cache.get(PHRASE_KW) == {}
+        assert _cache(store).get(ASTHMA_KW) is None
+        cache.flush()
+        reader = _cache(store)
+        assert reader.get(ASTHMA_KW) == SCORES
+        assert reader.get(PHRASE_KW) == {}
+
     def test_scores_survive_sqlite_reopen(self, tmp_path):
         path = str(tmp_path / "cache.db")
         cache = _cache(SQLiteStore(path))
@@ -88,6 +102,7 @@ class TestInvalidation:
         store = MemoryStore()
         first = _cache(store)
         first.put(ASTHMA_KW, SCORES)
+        first.flush()
         second = _cache(store)
         assert not second.invalidated
         assert second.epoch == first.epoch
@@ -98,6 +113,7 @@ class TestInvalidation:
         stats = StatsRegistry()
         first = _cache(store, fingerprint="fp-a")
         first.put(ASTHMA_KW, SCORES)
+        first.flush()
         second = _cache(store, fingerprint="fp-b", stats=stats)
         assert second.invalidated
         assert second.epoch == first.epoch + 1
@@ -108,7 +124,9 @@ class TestInvalidation:
     def test_params_mismatch_invalidates(self):
         store = MemoryStore()
         base = expansion_params(XOntoRankConfig())
-        _cache(store, params=base).put(ASTHMA_KW, SCORES)
+        first = _cache(store, params=base)
+        first.put(ASTHMA_KW, SCORES)
+        first.flush()
         changed = dict(base, threshold=base["threshold"] / 2)
         second = _cache(store, params=changed)
         assert second.invalidated

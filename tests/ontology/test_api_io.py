@@ -38,6 +38,12 @@ class TestTerminologyService:
         concept = service.concept_for_code(SNOMED_SYSTEM_CODE, ASTHMA)
         assert concept.preferred_term == "Asthma"
 
+    def test_concept_for_code_unknown_system_or_code(self, service):
+        with pytest.raises(OntologyError, match="unknown ontological"):
+            service.concept_for_code("unregistered", ASTHMA)
+        with pytest.raises(OntologyError, match="unknown concept 000"):
+            service.concept_for_code(SNOMED_SYSTEM_CODE, "000")
+
     def test_resolve_reference(self, service):
         reference = OntologicalReference(SNOMED_SYSTEM_CODE, ASTHMA)
         assert service.resolve(reference).code == ASTHMA

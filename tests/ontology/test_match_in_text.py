@@ -9,9 +9,7 @@ overlapping candidate phrases, and the window-width limits.
 import pytest
 
 from repro.ontology.api import TerminologyService
-from repro.ontology.indexes import build_ontology_indexes
 from repro.ontology.model import Concept, Ontology
-from repro.storage.memory_store import MemoryStore
 
 
 def _ontology() -> Ontology:
@@ -27,14 +25,9 @@ def _ontology() -> Ontology:
     return ontology
 
 
-@pytest.fixture(params=["graph", "index"])
+@pytest.fixture(params=["graph"])
 def service(request):
-    if request.param == "graph":
-        return TerminologyService([_ontology()])
-    built = TerminologyService()
-    built.register_indexes(build_ontology_indexes(_ontology(),
-                                                  MemoryStore()))
-    return built
+    return TerminologyService([_ontology()])
 
 
 class TestLongestMatchFirst:

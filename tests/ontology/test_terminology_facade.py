@@ -1,40 +1,21 @@
-"""TerminologyService as a facade over the index layer.
+"""TerminologyService over its one representation, the ontology graph.
 
-Covers every fallback path explicitly: unknown names, ambiguous
-synonyms, xref misses, and the graph answering when no index layer is
-registered (or when the index layer lacks a payload).
+Covers ambiguous synonyms, the graph answering lookups and code
+resolution, the per-operation spans and the shared normalization, and
+pins that no second (persisted) representation grows back.
 """
+
+import ast
+import pathlib
 
 import pytest
 
+import repro
 from repro.ontology.api import TerminologyService
-from repro.ontology.indexes import build_ontology_indexes
-from repro.ontology.model import Concept, Ontology, OntologyError
+from repro.ontology.model import Concept, Ontology
 from repro.ontology.snomed import (ASTHMA, SNOMED_SYSTEM_CODE,
                                    build_core_ontology)
-from repro.storage.memory_store import MemoryStore
 from repro.xmldoc.model import OntologicalReference
-
-
-@pytest.fixture(scope="module")
-def index_backed():
-    """A service whose only system is index-backed (no graph at all)."""
-    indexes = build_ontology_indexes(build_core_ontology(),
-                                     MemoryStore())
-    service = TerminologyService()
-    service.register_indexes(indexes)
-    return service
-
-
-@pytest.fixture(scope="module")
-def dual_backed():
-    """The same system registered both ways (index first, graph
-    fallback)."""
-    ontology = build_core_ontology()
-    service = TerminologyService([ontology])
-    service.register_indexes(
-        build_ontology_indexes(ontology, MemoryStore()))
-    return service
 
 
 def _ambiguous_ontology() -> Ontology:
@@ -46,59 +27,7 @@ def _ambiguous_ontology() -> Ontology:
     return ontology
 
 
-class TestIndexBackedResolution:
-    def test_lookup_never_touches_graph(self, index_backed):
-        # No graph is registered at all: a hit proves the index layer
-        # answered alone.
-        with pytest.raises(OntologyError):
-            index_backed.ontology(SNOMED_SYSTEM_CODE)
-        concepts = index_backed.lookup_term("Asthma")
-        assert [c.code for c in concepts] == [ASTHMA]
-
-    def test_unknown_name_returns_empty(self, index_backed):
-        assert index_backed.lookup_term("zebra stampede") == []
-
-    def test_resolve_and_miss(self, index_backed):
-        hit = index_backed.resolve(
-            OntologicalReference(SNOMED_SYSTEM_CODE, ASTHMA))
-        assert hit.code == ASTHMA
-        assert index_backed.resolve(
-            OntologicalReference(SNOMED_SYSTEM_CODE, "000")) is None
-        assert index_backed.resolve(
-            OntologicalReference("unregistered", ASTHMA)) is None
-
-    def test_concept_for_code_errors(self, index_backed):
-        with pytest.raises(OntologyError):
-            index_backed.concept_for_code("unregistered", ASTHMA)
-        with pytest.raises(OntologyError):
-            index_backed.concept_for_code(SNOMED_SYSTEM_CODE, "000")
-
-    def test_xref_miss_is_empty_not_error(self, index_backed):
-        indexes = index_backed.indexes(SNOMED_SYSTEM_CODE)
-        assert indexes.xrefs.forward("000") == []
-        assert indexes.xrefs.reverse("no.such.system", "X00") == []
-
-    def test_vocabulary_from_token_keys(self, index_backed):
-        vocabulary = index_backed.vocabulary()
-        assert "asthma" in vocabulary
-        assert "theophylline" in vocabulary
-
-    def test_membership_and_systems(self, index_backed):
-        assert SNOMED_SYSTEM_CODE in index_backed
-        assert index_backed.systems() == [SNOMED_SYSTEM_CODE]
-
-
 class TestAmbiguousSynonym:
-    def test_all_matches_returned_preferred_first(self):
-        service = TerminologyService()
-        service.register_indexes(
-            build_ontology_indexes(_ambiguous_ontology(),
-                                   MemoryStore()))
-        matches = service.lookup_term("cold")
-        # Ambiguity is surfaced, not swallowed: both concepts come
-        # back, the preferred-term match ("Cold") before the synonym.
-        assert [c.code for c in matches] == ["1", "2"]
-
     def test_graph_path_also_returns_all(self):
         service = TerminologyService([_ambiguous_ontology()])
         assert {c.code for c in service.lookup_term("cold")} == {"1", "2"}
@@ -107,34 +36,10 @@ class TestAmbiguousSynonym:
 class TestGraphFallback:
     def test_index_layer_absent_falls_back_to_graph(self):
         service = TerminologyService([build_core_ontology()])
-        assert service.indexes(SNOMED_SYSTEM_CODE) is None
         concepts = service.lookup_term("Asthma")
         assert [c.code for c in concepts] == [ASTHMA]
         assert service.resolve(
             OntologicalReference(SNOMED_SYSTEM_CODE, ASTHMA)) is not None
-
-    def test_dual_backed_prefers_index(self, dual_backed):
-        assert dual_backed.lookup_term("Asthma")[0].code == ASTHMA
-        assert dual_backed.systems() == [SNOMED_SYSTEM_CODE]
-
-    def test_missing_payload_falls_back_to_graph(self):
-        ontology = build_core_ontology()
-        store = MemoryStore()
-        build_ontology_indexes(ontology, store)
-        # Simulate an index whose payload row was lost: the facade
-        # must fall through to the graph representation.
-        store._metadata.pop("onto.concept:" + ASTHMA)
-        service = TerminologyService([ontology])
-        from repro.ontology.indexes import OntologyIndexes
-        service.register_indexes(OntologyIndexes(store))
-        concept = service.concept_for_code(SNOMED_SYSTEM_CODE, ASTHMA)
-        assert concept.preferred_term == "Asthma"
-
-    def test_duplicate_index_registration_rejected(self, dual_backed):
-        with pytest.raises(OntologyError):
-            dual_backed.register_indexes(
-                build_ontology_indexes(build_core_ontology(),
-                                       MemoryStore()))
 
 
 class TestResolveSpan:
@@ -161,16 +66,15 @@ class TestResolveSpan:
         service.lookup_term("Asthma")
         span = [s for s in tracer.finished()
                 if s.name == "ontology.lookup_term"][0]
-        assert span.attributes["term"] == "asthma"
-        assert span.attributes["hits"] == 1
+        assert span.attributes == {"term": "asthma", "hits": 1}
 
 
 class TestSharedNormalization:
-    """Hyphenated clinical terms resolve identically on both paths.
+    """Hyphenated clinical terms resolve as the query side spells them.
 
-    The query side tokenizes "X-ray" to ["x", "ray"]; the index/graph
-    side must file terms under the same normalization or hyphenated
-    ontology terms become unreachable from narrative text.
+    The query side tokenizes "X-ray" to ["x", "ray"]; the term
+    dictionary must file terms under the same normalization or
+    hyphenated ontology terms become unreachable from narrative text.
     """
 
     def _hyphen_ontology(self) -> Ontology:
@@ -184,18 +88,7 @@ class TestSharedNormalization:
 
     def test_normalizations_are_the_same_function(self):
         from repro.ir.tokenizer import normalize_term
-        from repro.ontology import indexes
-        assert indexes.normalize_term is normalize_term
         assert TerminologyService._normalize is normalize_term
-
-    @pytest.mark.parametrize("query", ["X-ray", "x-ray", "x ray",
-                                       "X-Ray"])
-    def test_hyphenated_term_resolves_via_index(self, query):
-        service = TerminologyService()
-        service.register_indexes(
-            build_ontology_indexes(self._hyphen_ontology(),
-                                   MemoryStore()))
-        assert [c.code for c in service.lookup_term(query)] == ["10"]
 
     @pytest.mark.parametrize("query", ["X-ray", "x-ray", "x ray",
                                        "X-Ray"])
@@ -204,14 +97,62 @@ class TestSharedNormalization:
         assert [c.code for c in service.lookup_term(query)] == ["10"]
 
     def test_multiword_hyphenated_term_both_paths(self):
-        indexed = TerminologyService()
-        indexed.register_indexes(
-            build_ontology_indexes(self._hyphen_ontology(),
-                                   MemoryStore()))
-        graphed = TerminologyService([self._hyphen_ontology()])
-        for service in (indexed, graphed):
-            hits = service.lookup_term("super-morbidly obese")
-            assert [c.code for c in hits] == ["20"]
-            # And the un-hyphenated spelling hits the same bucket.
-            assert [c.code for c in
-                    service.lookup_term("super morbidly obese")] == ["20"]
+        service = TerminologyService([self._hyphen_ontology()])
+        hits = service.lookup_term("super-morbidly obese")
+        assert [c.code for c in hits] == ["20"]
+        # And the un-hyphenated spelling hits the same bucket.
+        assert [c.code for c in
+                service.lookup_term("super morbidly obese")] == ["20"]
+
+
+class TestOneOntologyRepresentation:
+    """The ontology is served from its graph alone: no persisted
+    concept-index layer, no index-vs-graph fork in any lookup, and no
+    command that builds one."""
+
+    ROOT = pathlib.Path(repro.__file__).parent
+
+    @classmethod
+    def _imported_modules(cls, path: pathlib.Path):
+        """Absolute names of every module (and imported name) ``path``
+        imports, relative imports resolved against its package."""
+        package = path.relative_to(cls.ROOT.parent).parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = (list(package[:len(package) - node.level + 1])
+                        if node.level else [])
+                module = ".".join(base + ([node.module] if node.module
+                                          else []))
+                yield module
+                yield from (f"{module}.{alias.name}"
+                            for alias in node.names)
+
+    def test_no_module_imports_the_index_layer(self):
+        sources = sorted(self.ROOT.rglob("*.py"))
+        assert sources
+        offenders = [path.relative_to(self.ROOT).as_posix()
+                     for path in sources
+                     if "repro.ontology.indexes"
+                     in set(self._imported_modules(path))]
+        assert offenders == []
+        assert not (self.ROOT / "ontology" / "indexes.py").exists()
+
+    def test_terminology_service_has_no_index_registration(self):
+        from repro.ontology import api
+        tree = ast.parse(pathlib.Path(api.__file__)
+                         .read_text(encoding="utf-8"))
+        (cls,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "TerminologyService"]
+        methods = {node.name for node in cls.body
+                   if isinstance(node, ast.FunctionDef)}
+        assert not methods & {"register_indexes", "indexes"}
+
+    def test_build_ontology_subcommand_is_gone(self, tmp_path, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build-ontology", "--store", str(tmp_path / "o.db")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'build-ontology'" in capsys.readouterr().err

@@ -5,7 +5,9 @@ Every posting writer hands a whole namespace (or build shard) to
 ``put_documents_many`` and every group of metadata entries to
 ``put_metadata_many``, so a build or an append issues a fixed number of
 COMMITs, whatever the documents and the vocabulary it writes; only a
-compaction's grow, with the segments and tombstones it reclaims.
+compaction's grow, with the segments and tombstones it reclaims. The
+OntoScore expansion cache writes a build's expansions back the same
+way: one batch per build.
 Compaction ends with ``reclaim_space`` and so never leaves the file
 larger than it found it.
 
@@ -23,6 +25,7 @@ import pytest
 from repro.core.config import RELATIONSHIPS
 from repro.core.index.vocabulary import default_vocabulary
 from repro.core.query.engine import XOntoRankEngine
+from repro.core.stats import ONTOLOGY_CACHE_MISSES
 from repro.storage import SQLiteStore, canonical_dump, load_catalog
 from repro.xmldoc import Corpus
 
@@ -117,6 +120,32 @@ class TestCommitCounts:
                              tmp_path / "small.db", vocabulary[:10]) == \
             build_commits(documents, synthetic_ontology,
                           tmp_path / "full.db", vocabulary)
+
+    def test_ontology_cache_writes_back_once_per_build(
+            self, cda_corpus, synthetic_ontology, tmp_path):
+        """Descriptor, then every computed expansion in one batch --
+        not one transaction per keyword. A warm build writes nothing,
+        and both builds dump identically."""
+        documents = list(cda_corpus)[:BASE_DOCS]
+        dumps = []
+        for mode in ("cold", "warm"):
+            engine = XOntoRankEngine(Corpus(documents), synthetic_ontology,
+                                     strategy=RELATIONSHIPS)
+            with SQLiteStore(str(tmp_path / "cache.db")) as cache_store, \
+                    SQLiteStore(str(tmp_path / f"{mode}.db")) as store:
+                counter = CommitCounter(cache_store)
+                engine.attach_ontology_cache(cache_store)
+                engine.build_index(store=store)
+                commits = counter.take()
+                dumps.append(dump(store))
+            misses = engine.stats.value(ONTOLOGY_CACHE_MISSES)
+            if mode == "cold":
+                assert misses > 100
+                assert commits <= 3
+            else:
+                assert misses == 0
+                assert commits == 0
+        assert dumps[0] == dumps[1]
 
     def test_append_commits_per_batch(self, lifecycle):
         """Postings, documents, catalog -- plus, on the first append,

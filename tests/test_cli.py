@@ -342,22 +342,36 @@ class TestSharded:
         ["generate", "--out", "D", "--patients", "0"],
         ["search", "--data", "D", "fever", "--fragment-lines", "-2"],
         ["serve", "--data", "D", "--drain-grace", "nan"],
+        ["search", "--data", "D", "fever", "--decay", "0"],
+        ["index", "--data", "D", "--store", "S", "--threshold", "-1"],
+        ["serve", "--data", "D", "--t", "2"],
+        ["search", "--data", "D", "fever", "--t", "0"],
+        ["generate", "--out", "D", "--scale", "0"],
+        ["generate", "--out", "D", "--scale", "-1"],
+        ["generate", "--out", "D", "--scale", "nan"],
+        ["generate", "--out", "D", "--scale", "inf"],
     ])
     def test_bad_counts_are_usage_errors(self, argv, capsys):
         """These used to be tracebacks (--shard-workers 0,
         --cache-size -1, --radius -1, the serve queue/timeout/seconds
-        flags, evaluate --k 0), a silent fall-back to the unsharded
-        path with a misleading "no index store" (compact --shards 0),
-        an empty corpus `index` then rejects (generate --patients 0),
-        or silently accepted (--retries -1, --fragment-lines -2).
-        Each is now rejected before any data is read."""
+        flags, evaluate --k 0, the --decay/--threshold/--t ranges of
+        XOntoRankConfig, generate --scale), a silent fall-back to the
+        unsharded path with a misleading "no index store" (compact
+        --shards 0), an empty corpus `index` then rejects (generate
+        --patients 0), or silently accepted (--retries -1,
+        --fragment-lines -2). Each is now rejected before any data is
+        read (the "D" directories do not exist)."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         message = capsys.readouterr().err
         assert "usage:" in message
-        seconds = {"--drain-grace", "--breaker-cooldown"} & set(argv)
-        assert ("number" if seconds else "integer") in message
+        ranged = {"--decay", "--threshold", "--t"} & set(argv)
+        numbers = {"--drain-grace", "--breaker-cooldown",
+                   "--scale"} & set(argv)
+        expected = (f"{ranged.pop()[2:]} must lie in" if ranged
+                    else "number" if numbers else "integer")
+        assert expected in message
 
     def test_cache_size_zero_still_disables_the_cache(self, data_dir,
                                                       capsys):
@@ -560,9 +574,11 @@ class TestStatsAndParameters:
         assert code in (0, 1)
         capsys.readouterr()
 
-    def test_invalid_parameters_rejected(self, data_dir):
-        with pytest.raises(ValueError):
+    def test_invalid_parameters_rejected(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["search", "--data", data_dir, "--decay", "0", "fever"])
+        assert excinfo.value.code == 2
+        assert "decay must lie in (0, 1]" in capsys.readouterr().err
 
 
 class TestProfiling:
@@ -708,39 +724,6 @@ class TestMmapStoreFormat:
         code = main(["compact", "--store", mmap_store])
         assert code == 2
         assert "rebuild" in capsys.readouterr().err
-
-
-class TestBuildOntology:
-    def test_from_data_directory(self, data_dir, tmp_path, capsys):
-        store = str(tmp_path / "onto.db")
-        assert main(["build-ontology", "--data", data_dir,
-                     "--store", store]) == 0
-        captured = capsys.readouterr()
-        assert "built ontology indexes:" in captured.out
-        assert "ontology fingerprint:" in captured.out
-        assert os.path.exists(store)
-
-    def test_synthetic_stream_to_mmap(self, tmp_path, capsys):
-        store = str(tmp_path / "onto.xms")
-        assert main(["build-ontology", "--store", store,
-                     "--store-format", "mmap",
-                     "--target-concepts", "500",
-                     "--ontology-seed", "9"]) == 0
-        captured = capsys.readouterr()
-        assert "built ontology indexes:" in captured.out
-        assert main(["verify-index", "--store", store]) == 0
-
-    def test_built_store_resolves_terms(self, data_dir, tmp_path):
-        store = str(tmp_path / "onto.db")
-        assert main(["build-ontology", "--data", data_dir,
-                     "--store", store]) == 0
-        from repro.ontology.api import TerminologyService
-        from repro.ontology.indexes import OntologyIndexes
-        from repro.storage.sqlite_store import SQLiteStore
-        service = TerminologyService()
-        service.register_indexes(
-            OntologyIndexes(SQLiteStore(store, read_only=True)))
-        assert service.lookup_term("asthma")
 
 
 class TestOntologyCacheFlag:

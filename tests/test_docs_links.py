@@ -4,9 +4,12 @@ Scans ``README.md`` and ``docs/**/*.md`` for markdown links and inline
 file references, and fails on any relative link whose target does not
 exist. External URLs, mail links, and pure in-page anchors are skipped.
 CI runs this as its docs-lint step, so a renamed file cannot silently
-orphan the documentation pointing at it.
+orphan the documentation pointing at it. The instrument catalog is
+checked both ways: every instrument ``src/`` emits is documented, and
+every documented instrument is still emitted.
 """
 
+import ast
 import os
 import re
 
@@ -146,3 +149,57 @@ def test_every_instrument_name_is_documented():
     assert not undocumented, (
         f"instrument names missing from docs/OBSERVABILITY.md: "
         f"{undocumented}")
+
+
+#: Catalog names ``src/`` builds at run time instead of spelling out:
+#: ``DILCache`` prefixes its timer and counters with its namespace
+#: (``f"{namespace}.hits"``), and the server counts each response
+#: status as ``f"server.responses.{status}"``.
+DYNAMIC_INSTRUMENTS = re.compile(
+    r"dil_cache\.\w+|server\.responses\.<status>")
+
+
+def source_strings():
+    """Every string constant in ``src/``: a span, counter or timer name
+    is emitted only if some module spells it out."""
+    strings = set()
+    src_dir = os.path.join(REPO_ROOT, "src", "repro")
+    for dirpath, _, filenames in os.walk(src_dir):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, filename),
+                      encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            strings.update(node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str))
+    return strings
+
+
+def catalog_names():
+    """The instrument names in the first column of every catalog row
+    of docs/OBSERVABILITY.md (one row may list several, ``a`` / ``b``)."""
+    catalog_path = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
+    names = set()
+    with open(catalog_path, encoding="utf-8") as handle:
+        for line in handle:
+            if line.startswith("| `"):
+                names.update(re.findall(r"`([^`]+)`",
+                                        line.split("|")[1]))
+    return names
+
+
+def test_every_documented_instrument_is_emitted():
+    """The catalog's other direction: a row whose span, counter or
+    timer nothing in ``src/`` emits any more is stale, unless its name
+    belongs to an allowlisted dynamic family."""
+    names = catalog_names()
+    assert "query.search" in names and "dil_cache.hits" in names
+    emitted = source_strings()
+    stale = sorted(name for name in names
+                   if name not in emitted
+                   and not DYNAMIC_INSTRUMENTS.fullmatch(name))
+    assert not stale, (
+        f"docs/OBSERVABILITY.md documents instruments nothing in src/ "
+        f"emits: {stale}")
