@@ -51,7 +51,9 @@ service, is specified in docs/SERVING.md)::
         (= --no-fallback) covers are specified once, in
         docs/STORAGE.md "Reading a persisted store". Prints DIL-cache
         counters after the query; --verbose adds
-        retry/fallback/integrity counters.
+        retry/fallback/integrity counters. Exit 1 when nothing
+        matches; a query (or --narrative text) without an indexable
+        word is a usage error, exit 2.
 
     python -m repro verify-index --store FILE.db
         Check a persisted index's integrity end to end: a
@@ -102,7 +104,6 @@ import os
 import sys
 from typing import Sequence
 
-from .cda.generator import build_cda_corpus
 from .core.config import (ALL_STRATEGIES, RELATIONSHIPS,
                           XOntoRankConfig)
 from .core.obs import (Tracer, render_profile, write_chrome_trace,
@@ -112,13 +113,9 @@ from .core.stats import (FALLBACK_STORE_DISCARDS, ONTOLOGY_CACHE_HITS,
                          ONTOLOGY_CACHE_INVALIDATIONS,
                          ONTOLOGY_CACHE_MISSES)
 from .core.query.federated import FederatedEngine, shard_store_paths
-from .emr.synth import generate_cardiac_emr
-from .evaluation.metrics import run_survey
-from .evaluation.oracle import RelevanceOracle
-from .evaluation.workload import table1_queries
+from .ir.tokenizer import KeywordQuery
 from .ontology.api import TerminologyService
-from .ontology.io import load_ontology, save_ontology
-from .ontology.snomed import build_synthetic_snomed
+from .ontology.io import load_ontology
 from .storage.errors import StorageError
 from .storage.manifest import (CHECKSUM_KEY_PREFIX, MANIFEST_VERSION_KEY,
                                atomic_sqlite_build, verify_manifest)
@@ -302,6 +299,10 @@ def _unusable_store(path: str, exc: StorageError) -> int:
 # Subcommands
 # ----------------------------------------------------------------------
 def command_generate(args: argparse.Namespace) -> int:
+    from .cda.generator import build_cda_corpus
+    from .emr.synth import generate_cardiac_emr
+    from .ontology.io import save_ontology
+    from .ontology.snomed import build_synthetic_snomed
     ontology = build_synthetic_snomed(scale=args.scale,
                                       seed=args.ontology_seed)
     terminology = TerminologyService([ontology])
@@ -484,16 +485,17 @@ def command_search(args: argparse.Namespace) -> int:
 
 def _search_and_print(args: argparse.Namespace, engine: FederatedEngine,
                       tracer: Tracer | None) -> int:
-    if args.narrative:
-        # Build the mapper up front so a corpus without an ontology
-        # (--strategy xrank) is a clean exit 2, not a traceback.
-        try:
-            engine.narrative_mapper()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    outcome = engine.search_outcome(args.query, k=args.k,
-                                    narrative=args.narrative)
+    try:
+        outcome = engine.search_outcome(args.query, k=args.k,
+                                        narrative=args.narrative)
+    except ValueError as exc:
+        if not args.narrative:
+            raise
+        # The narrative is mapped before any list is read: a corpus
+        # without an ontology (--strategy xrank) or text without an
+        # indexable token is a usage error, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     results = outcome.results
     effective_query = args.query
     if outcome.narrative is not None:
@@ -643,6 +645,9 @@ def command_verify_index(args: argparse.Namespace) -> int:
 
 
 def command_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation.metrics import run_survey
+    from .evaluation.oracle import RelevanceOracle
+    from .evaluation.workload import table1_queries
     ontology, corpus = _load_data_directory(args.data)
     engines = build_engines(corpus, ontology)
     oracle = RelevanceOracle(ontology)
@@ -929,6 +934,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # data is read.
         try:
             _config_from(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.handler is command_search and not args.narrative:
+        # So is a query without an indexable keyword: exit 1 means
+        # "no results", not "no query".
+        try:
+            KeywordQuery.parse(args.query)
         except ValueError as exc:
             parser.error(str(exc))
     return args.handler(args)

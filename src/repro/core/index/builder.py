@@ -71,8 +71,7 @@ class IndexBuilder:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             stats = KeywordBuildStats(
                 keyword=keyword.text, creation_time_ms=elapsed_ms,
-                posting_count=len(dil), size_bytes=dil.size_bytes(),
-                ontology_entries=onto_entries)
+                dil=dil, ontology_entries=onto_entries)
             span.annotate(postings=len(dil),
                           ontology_entries=onto_entries)
         return dil, stats

@@ -77,6 +77,7 @@ class DeweyInvertedList:
         # DeweyID comparison per step.
         self._postings = sorted(postings, key=_posting_key)
         self._doc_max: dict[int, float] | None = None
+        self._size_bytes: int | None = None
         previous = None
         for posting in self._postings:
             key = (posting.dewey.doc_id, posting.dewey.path)
@@ -129,8 +130,12 @@ class DeweyInvertedList:
         return self._doc_max
 
     def size_bytes(self) -> int:
-        """Estimated storage size of the list (Table III's "Size (KB)")."""
-        return sum(posting.size_bytes() for posting in self._postings)
+        """Estimated storage size of the list (Table III's "Size (KB)").
+        Computed on first use and cached, like :meth:`doc_max_scores`."""
+        if self._size_bytes is None:
+            self._size_bytes = sum(posting.size_bytes()
+                                   for posting in self._postings)
+        return self._size_bytes
 
     def document_ids(self) -> set[int]:
         return {posting.dewey.doc_id for posting in self._postings}
@@ -226,13 +231,25 @@ class CompactDeweyInvertedList(DeweyInvertedList):
 
 @dataclass
 class KeywordBuildStats:
-    """Per-keyword index-creation measurements (Table III's columns)."""
+    """Per-keyword index-creation measurements (Table III's columns).
+
+    The posting count and size are read from the built list on demand,
+    so a build whose statistics are discarded (a query-time cache
+    miss) never sizes its postings.
+    """
 
     keyword: str
     creation_time_ms: float
-    posting_count: int
-    size_bytes: int
+    dil: DeweyInvertedList = field(repr=False, compare=False)
     ontology_entries: int = 0  # size of the OntoScore hash-map slice
+
+    @property
+    def posting_count(self) -> int:
+        return len(self.dil)
+
+    @property
+    def size_bytes(self) -> int:
+        return self.dil.size_bytes()
 
 
 @dataclass

@@ -4,7 +4,7 @@
 and executes XRANK's DIL algorithm using the XOnto-DILs generated in the
 pre-processing phase."
 
-The algorithm merges the k posting lists in global Dewey (document)
+The algorithm walks the k posting lists in global Dewey (document)
 order while maintaining a stack that mirrors the root-to-current-node
 path. Each stack frame accumulates, per keyword, the best propagated
 score seen in the frame's fully-processed subtree; when a frame is
@@ -13,15 +13,19 @@ all keywords and none of its descendants already did (Eq. 1), and its
 scores flow to its parent attenuated by ``decay`` (Eq. 2-3). Result
 scores are the per-keyword sums (Eq. 4).
 
-One sequential pass over the posting lists, O(depth) memory -- the
-structural reason the paper adopts DILs. The merge consumes lazy
-per-DIL generators, so no posting list is ever materialized as a
-parallel tuple list.
+No result spans two documents, so the walk is one routine,
+:meth:`DILQueryProcessor._merge_document`, called per document: it
+sorts that document's ``(path, keyword index, score)`` postings, keeps
+the stack as plain per-depth score lists, and builds a Dewey ID and a
+:class:`QueryResult` only for a frame it emits. One sequential pass,
+O(depth) stack memory plus one document's postings -- the structural
+reason the paper adopts DILs.
 
-Two execution modes:
+Two execution modes share that routine:
 
 * :meth:`DILQueryProcessor.collect` -- the full Eq. 1 enumeration, as
-  the paper describes it; ranking/truncation is a separate stage.
+  the paper describes it: every document of every list is merged, so
+  every posting is read; ranking/truncation is a separate stage.
 * :meth:`DILQueryProcessor.collect_topk` -- bounded evaluation: a
   size-k result heap plus per-document score upper bounds
   (``sum(per-keyword doc max)``, i.e. the optimistic score with zero
@@ -39,7 +43,6 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
 from ...xmldoc.dewey import DeweyID
 from ..deadline import Deadline
@@ -48,19 +51,13 @@ from ..obs.tracer import NULL_TRACER
 from ..stats import TOPK_DOCS_SKIPPED, TOPK_HEAP_EVICTIONS, StatsRegistry
 from .results import QueryResult, rank_results
 
-#: A merge tuple: (dewey, keyword index, NodeScore). Sorting on the
-#: leading DeweyID is what keeps the k-way merge in global document
-#: order.
-_MergeItem = tuple[DeweyID, int, float]
+#: A merge tuple: (Dewey path, keyword index, NodeScore), all within
+#: one document. Tuples sort natively on the leading path, which is
+#: document order.
+_MergeItem = tuple[tuple[int, ...], int, float]
 
-
-@dataclass
-class _Frame:
-    """Stack frame for one element on the current root-to-node path."""
-
-    dewey: DeweyID
-    scores: list[float]
-    contains_result: bool = False
+#: Marks the end of a document's postings: it unwinds every frame.
+_END = (None, 0, 0.0)
 
 
 class _HeapDewey:
@@ -92,18 +89,17 @@ class _DocStream:
     """A cursor over one DIL that serves per-document posting runs.
 
     ``doc_postings(doc_id)`` bisects forward from the cursor to the
-    document's first posting and yields merge tuples while the document
-    matches. Skipped documents cost O(log n) cursor moves and zero
-    posting reads -- the mechanism behind the top-k mode's
-    ``postings_read`` reduction.
+    document's run and returns its merge tuples. Skipped documents
+    cost O(log n) cursor moves and zero posting reads -- the mechanism
+    behind the top-k mode's ``postings_read`` reduction.
 
     A compact (block-backed) DIL gets a better deal still: its block's
     document directory locates the run exactly, so skipped documents
-    cost nothing and visited documents decode only their own run --
-    the materialized posting sequence is never built. The per-call
-    streams also keep block-backed DILs safely shareable across
-    concurrent queries: all cursor state lives here, the block itself
-    is immutable.
+    cost nothing and visited documents decode only their own run into
+    path tuples -- neither the materialized posting sequence nor a
+    Dewey ID per posting is ever built. The per-call streams also keep
+    block-backed DILs safely shareable across concurrent queries: all
+    cursor state lives here, the block itself is immutable.
     """
 
     __slots__ = ("_postings", "_index", "_pos", "_block")
@@ -115,20 +111,22 @@ class _DocStream:
         self._postings = (dil.sorted_postings()
                           if self._block is None else ())
 
-    def doc_postings(self, doc_id: int) -> Iterator[_MergeItem]:
+    def doc_postings(self, doc_id: int) -> list[_MergeItem]:
+        index = self._index
         if self._block is not None:
-            index = self._index
-            for path, score in self._block.doc_postings(doc_id):
-                yield (DeweyID(doc_id, path), index, score)
-            return
-        self._pos = bisect.bisect_left(self._postings, doc_id,
-                                       lo=self._pos,
-                                       key=lambda p: p.dewey.doc_id)
-        while (self._pos < len(self._postings)
-               and self._postings[self._pos].dewey.doc_id == doc_id):
-            posting = self._postings[self._pos]
-            self._pos += 1
-            yield (posting.dewey, self._index, posting.score)
+            return [(path, index, score)
+                    for path, score in self._block.doc_postings(doc_id)]
+        postings = self._postings
+        start = bisect.bisect_left(postings, doc_id, lo=self._pos,
+                                   key=_doc_id)
+        self._pos = bisect.bisect_right(postings, doc_id, lo=start,
+                                        key=_doc_id)
+        return [(posting.dewey.path, index, posting.score)
+                for posting in postings[start:self._pos]]
+
+
+def _doc_id(posting) -> int:
+    return posting.dewey.doc_id
 
 
 @dataclass
@@ -238,15 +236,19 @@ class DILQueryProcessor:
                ) -> list[QueryResult]:
         statistics = DILQueryStatistics()
         self.last_statistics = statistics
-        keyword_count = len(dils)
         if any(not dil for dil in dils):
             # Some keyword matches nothing anywhere: no subtree can
             # cover all keywords.
             return []
-
-        merged = heapq.merge(*(self._posting_stream(dil, index)
-                               for index, dil in enumerate(dils)))
-        results = self._stack_results(merged, keyword_count, statistics)
+        # Every document of every list, even one missing a keyword:
+        # the paper's full pass reads every posting.
+        doc_ids = sorted(set().union(*(dil.doc_max_scores()
+                                       for dil in dils)))
+        streams = [_DocStream(dil, index)
+                   for index, dil in enumerate(dils)]
+        results: list[QueryResult] = []
+        for doc_id in doc_ids:
+            results += self._merge_document(streams, doc_id, statistics)
         statistics.results_found = len(results)
         return results
 
@@ -255,7 +257,6 @@ class DILQueryProcessor:
                     ) -> tuple[list[QueryResult], DILQueryStatistics]:
         statistics = DILQueryStatistics()
         self.last_statistics = statistics
-        keyword_count = len(dils)
         if any(not dil for dil in dils):
             return [], statistics
 
@@ -283,10 +284,8 @@ class DILQueryProcessor:
                 if bound <= heap[0][0]:
                     statistics.docs_skipped += 1
                     continue
-            merged = heapq.merge(*(stream.doc_postings(doc_id)
-                                   for stream in streams))
-            doc_results = self._stack_results(merged, keyword_count,
-                                              statistics)
+            doc_results = self._merge_document(streams, doc_id,
+                                               statistics)
             statistics.results_found += len(doc_results)
             for result in doc_results:
                 entry = (result.score, _HeapDewey(result.dewey), result)
@@ -300,77 +299,73 @@ class DILQueryProcessor:
         return [entry[2] for entry in ordered], statistics
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _posting_stream(dil: DeweyInvertedList,
-                        index: int) -> Iterator[_MergeItem]:
-        """Lazy merge feed of one DIL -- O(1) memory per list."""
-        for posting in dil:
-            yield (posting.dewey, index, posting.score)
+    def _merge_document(self, streams: list[_DocStream], doc_id: int,
+                        statistics: DILQueryStatistics,
+                        ) -> list[QueryResult]:
+        """Run the stack merge over one document's postings and return
+        its Eq. 1 results in the order their frames pop.
 
-    def _stack_results(self, merged: Iterator[_MergeItem],
-                       keyword_count: int,
-                       statistics: DILQueryStatistics,
-                       ) -> list[QueryResult]:
-        """Run the stack merge over an already-ordered posting stream
-        and return its Eq. 1 results (document order)."""
-        stack: list[_Frame] = []
+        ``frames[i]`` holds the per-keyword scores of the element at
+        path ``top[:i]``, where ``top`` is the last posting's path, and
+        ``covers[i]`` whether a result lies in its subtree. Scores only
+        ever rise from 0.0 through ``>``, so they are never negative
+        and ``min(scores) > 0.0`` means every keyword is covered.
+        """
+        items: list[_MergeItem] = []
+        for stream in streams:
+            items += stream.doc_postings(doc_id)
+        # ``(path, keyword index)`` is unique within a document, so
+        # the sort never compares scores and Dewey order is total.
+        items.sort()
+        items.append(_END)
+        keyword_count = len(streams)
+        decay = self._decay
+        frames: list[list[float]] = []
+        covers: list[bool] = []
+        top: tuple[int, ...] = ()
         results: list[QueryResult] = []
-        for dewey, keyword_index, score in merged:
-            statistics.postings_read += 1
-            self._align_stack(stack, dewey, keyword_count, results,
-                              statistics)
-            top = stack[-1]
-            if score > top.scores[keyword_index]:
-                top.scores[keyword_index] = score
-        while stack:
-            self._pop_frame(stack, results, statistics)
+        pushed = 0
+        for path, keyword_index, score in items:
+            # Frames that are ancestors-or-self of ``path`` survive.
+            common = 0
+            if path is not None:
+                common = 1
+                for old, new in zip(top, path):
+                    if old != new:
+                        break
+                    common += 1
+            depth = len(frames)
+            while depth > common:
+                depth -= 1
+                scores = frames.pop()
+                covered = covers.pop()
+                emitted = not covered and min(scores) > 0.0
+                if emitted:
+                    results.append(QueryResult(
+                        dewey=DeweyID(doc_id, top[:depth]),
+                        score=sum(scores), keyword_scores=tuple(scores)))
+                if depth:
+                    # Eq. 2-3: one containment edge of decay, max
+                    # over the parent's other descendants.
+                    parent = frames[-1]
+                    for index, child in enumerate(scores):
+                        decayed = child * decay
+                        if decayed > parent[index]:
+                            parent[index] = decayed
+                    if covered or emitted:
+                        covers[-1] = True
+            if path is None:
+                break
+            # Push the document root (depth 0), then one frame per
+            # Dewey component down to ``path``.
+            missing = len(path) + 1 - depth
+            frames += [[0.0] * keyword_count for _ in range(missing)]
+            covers += [False] * missing
+            pushed += missing
+            top = path
+            own = frames[-1]
+            if score > own[keyword_index]:
+                own[keyword_index] = score
+        statistics.postings_read += len(items) - 1
+        statistics.frames_pushed += pushed
         return results
-
-    # ------------------------------------------------------------------
-    def _align_stack(self, stack: list[_Frame], dewey: DeweyID,
-                     keyword_count: int, results: list[QueryResult],
-                     statistics: DILQueryStatistics) -> None:
-        """Pop completed subtrees, then push path frames down to
-        ``dewey``."""
-        common = self._common_depth(stack, dewey)
-        while len(stack) > common:
-            self._pop_frame(stack, results, statistics)
-        # Push the missing path components: the frame for the document
-        # root first (depth 0), then one frame per Dewey component.
-        while len(stack) < dewey.depth + 1:
-            depth = len(stack)
-            frame_dewey = DeweyID(dewey.doc_id, dewey.path[:depth])
-            stack.append(_Frame(frame_dewey, [0.0] * keyword_count))
-            statistics.frames_pushed += 1
-
-    def _common_depth(self, stack: list[_Frame], dewey: DeweyID) -> int:
-        """Number of stack frames that are ancestors-or-self of
-        ``dewey``."""
-        if stack and stack[0].dewey.doc_id != dewey.doc_id:
-            return 0
-        depth = 0
-        for index, frame in enumerate(stack):
-            if index > len(dewey.path):
-                break
-            if frame.dewey.path == dewey.path[:index]:
-                depth = index + 1
-            else:
-                break
-        return depth
-
-    def _pop_frame(self, stack: list[_Frame], results: list[QueryResult],
-                   statistics: DILQueryStatistics) -> None:
-        frame = stack.pop()
-        is_result = (not frame.contains_result
-                     and all(score > 0.0 for score in frame.scores))
-        if is_result:
-            results.append(QueryResult(
-                dewey=frame.dewey, score=sum(frame.scores),
-                keyword_scores=tuple(frame.scores)))
-        if stack:
-            parent = stack[-1]
-            for index, score in enumerate(frame.scores):
-                decayed = score * self._decay
-                if decayed > parent.scores[index]:
-                    parent.scores[index] = decayed
-            parent.contains_result |= frame.contains_result or is_result

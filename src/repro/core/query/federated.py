@@ -361,8 +361,7 @@ class FederatedEngine(SearchEngine):
                 keyword=keyword.text,
                 creation_time_ms=max((stat.creation_time_ms
                                       for stat in stats), default=0.0),
-                posting_count=len(merged),
-                size_bytes=merged.size_bytes(),
+                dil=merged,
                 ontology_entries=max((stat.ontology_entries
                                       for stat in stats), default=0),
             ) if stats else None)

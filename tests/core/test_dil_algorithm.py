@@ -124,6 +124,61 @@ class TestScoring:
             DILQueryProcessor(decay=1.5)
 
 
+class TestStackShapes:
+    """The per-document merge's frames on the stack shapes it meets:
+    exact scores, and exactly the frames and postings the paper's
+    stack algorithm pushes and reads."""
+
+    def test_deep_single_chain(self, processor):
+        # b's node is an ancestor of a's, two edges up.
+        results = processor.collect([
+            dil("a", ("0.0.0.0.0", 1.0)),
+            dil("b", ("0.0.0", 1.0)),
+        ])
+        assert [(r.dewey.encode(), r.keyword_scores, r.score)
+                for r in results] == [("0.0.0", (0.25, 1.0), 1.25)]
+        stats = processor.last_statistics
+        assert (stats.postings_read, stats.frames_pushed,
+                stats.results_found) == (2, 5, 1)
+
+    def test_branch_point_with_one_keyword_per_subtree(self, processor):
+        results = processor.collect([
+            dil("a", ("0.1.0.0", 1.0)),
+            dil("b", ("0.1.1", 1.0)),
+        ])
+        assert [(r.dewey.encode(), r.keyword_scores, r.score)
+                for r in results] == [("0.1", (0.25, 0.5), 0.75)]
+        # root, 0.1, 0.1.0, 0.1.0.0, then 0.1.1 after popping to 0.1.
+        assert processor.last_statistics.frames_pushed == 5
+
+    def test_two_keywords_on_one_node(self, processor):
+        results = processor.collect([
+            dil("a", ("0.2.1", 0.5)),
+            dil("b", ("0.2.1", 0.25)),
+        ])
+        assert [(r.dewey.encode(), r.keyword_scores, r.score)
+                for r in results] == [("0.2.1", (0.5, 0.25), 0.75)]
+        stats = processor.last_statistics
+        assert (stats.postings_read, stats.frames_pushed) == (2, 3)
+
+    def test_full_mode_reads_a_document_missing_a_keyword(self,
+                                                          processor):
+        lists = [
+            dil("a", ("0.1", 1.0), ("1.1", 1.0)),
+            dil("b", ("0.2", 1.0)),
+        ]
+        results = processor.collect(lists)
+        assert [(r.dewey.encode(), r.score) for r in results] == \
+            [("0", 1.0)]
+        stats = processor.last_statistics
+        # Document 1 cannot hold a result, and is still merged.
+        assert (stats.postings_read, stats.frames_pushed,
+                stats.docs_skipped) == (3, 5, 0)
+        processor.collect_topk(lists, 1)
+        stats = processor.last_statistics
+        assert (stats.postings_read, stats.docs_skipped) == (2, 1)
+
+
 class TestBoundedTopK:
     """Document-skip pruning: which documents the bounded mode reads,
     and what the statistics say about the ones it doesn't."""

@@ -144,6 +144,11 @@ class TestEndpoints:
     def test_missing_query_is_400(self, server):
         assert server.request("/search")[0] == 400
 
+    def test_query_without_keywords_is_400(self, server):
+        status, _, body = server.get_json("/search?q=%3F%21")
+        assert status == 400
+        assert "no indexable keywords" in body["error"]
+
     def test_bad_k_is_400(self, server):
         assert server.request("/search?q=x&k=zero")[0] == 400
         assert server.request("/search?q=x&k=0")[0] == 400

@@ -350,6 +350,9 @@ class TestSharded:
         ["generate", "--out", "D", "--scale", "-1"],
         ["generate", "--out", "D", "--scale", "nan"],
         ["generate", "--out", "D", "--scale", "inf"],
+        ["search", "--data", "D", ""],
+        ["search", "--data", "D", "?!"],
+        ["search", "--data", "D", '"'],
     ])
     def test_bad_counts_are_usage_errors(self, argv, capsys):
         """These used to be tracebacks (--shard-workers 0,
@@ -359,8 +362,10 @@ class TestSharded:
         unsharded path with a misleading "no index store" (compact
         --shards 0), an empty corpus `index` then rejects (generate
         --patients 0), or silently accepted (--retries -1,
-        --fragment-lines -2). Each is now rejected before any data is
-        read (the "D" directories do not exist)."""
+        --fragment-lines -2), or a traceback after the data was read
+        (a search query without an indexable keyword). Each is now
+        rejected before any data is read (the "D" directories do not
+        exist)."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -369,8 +374,11 @@ class TestSharded:
         ranged = {"--decay", "--threshold", "--t"} & set(argv)
         numbers = {"--drain-grace", "--breaker-cooldown",
                    "--scale"} & set(argv)
+        keywordless = argv[0] == "search" and "fever" not in argv
         expected = (f"{ranged.pop()[2:]} must lie in" if ranged
-                    else "number" if numbers else "integer")
+                    else "number" if numbers
+                    else "no indexable keywords" if keywordless
+                    else "integer")
         assert expected in message
 
     def test_cache_size_zero_still_disables_the_cache(self, data_dir,
@@ -806,3 +814,77 @@ class TestDefaultShardsCompatibility:
             hits = int(line.split("hits=")[1].split()[0])
             assert (hits == 0) == (run == "cold"), line
         assert "misses=0" in line
+
+
+class TestQueryValidation:
+    def test_narrative_without_tokens_is_a_usage_error(self, data_dir,
+                                                       capsys):
+        """It used to end in a ValueError traceback."""
+        code = main(["search", "--data", data_dir, "--narrative", "?!"])
+        assert code == 2
+        assert "error: no indexable tokens in narrative" in \
+            capsys.readouterr().err
+
+
+class TestSizeAccounting:
+    """Posting lists are sized once, and only when a size is read."""
+
+    @pytest.fixture
+    def size_calls(self, monkeypatch):
+        from repro.core.index.dil import Posting
+        calls = [0]
+        size_bytes = Posting.size_bytes
+
+        def counting(posting):
+            calls[0] += 1
+            return size_bytes(posting)
+
+        monkeypatch.setattr(Posting, "size_bytes", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def corpus20(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("size") / "data")
+        assert main(["generate", "--out", directory,
+                     "--patients", "20"]) == 0
+        return directory
+
+    def test_index_sizes_each_posting_once(self, corpus20, tmp_path,
+                                           size_calls, capsys):
+        """The build statistics and the summary line used to walk
+        every posting twice (90,026 calls)."""
+        capsys.readouterr()
+        assert main(["index", "--data", corpus20, "--store",
+                     str(tmp_path / "idx.db")]) == 0
+        assert "(45013 postings," in capsys.readouterr().out
+        assert size_calls[0] == 45013
+
+    def test_query_time_build_sizes_nothing(self, corpus20, tmp_path,
+                                            size_calls, capsys):
+        """A phrase keyword is not in the store, so the search builds
+        its list from the corpus; the build statistics it discards
+        used to size every posting of it."""
+        store = str(tmp_path / "idx.db")
+        assert main(["index", "--data", corpus20, "--store", store]) == 0
+        size_calls[0] = 0
+        code = main(["search", "--data", corpus20, "--store", store,
+                     '"cardiac arrest" amiodarone', "-k", "2"])
+        assert code == 0
+        assert "misses=2" in capsys.readouterr().out
+        assert size_calls[0] == 0
+
+
+def test_cli_import_skips_generate_and_evaluate_modules():
+    """``repro.cda``, ``repro.emr`` and ``repro.evaluation`` are
+    imported by ``generate`` and ``evaluate`` alone, so every other
+    command starts without them."""
+    import subprocess
+    import sys
+    script = ("import sys, repro.cli; print(sorted(m for m in "
+              "sys.modules if m.startswith(('repro.cda', 'repro.emr', "
+              "'repro.evaluation'))))")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

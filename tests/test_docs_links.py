@@ -203,3 +203,87 @@ def test_every_documented_instrument_is_emitted():
     assert not stale, (
         f"docs/OBSERVABILITY.md documents instruments nothing in src/ "
         f"emits: {stale}")
+
+
+def class_attributes():
+    """``{class name: attribute names}`` for every class under
+    ``src/repro``: methods, class-level assignments (dataclass fields
+    included) and ``self.<name>`` assignments in its methods, plus
+    everything its ``src/repro`` base classes define."""
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    src_dir = os.path.join(REPO_ROOT, "src", "repro")
+    for dirpath, _, filenames in os.walk(src_dir):
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, filename),
+                      encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                names = own.setdefault(node.name, set())
+                bases.setdefault(node.name, set()).update(
+                    base.id for base in node.bases
+                    if isinstance(base, ast.Name))
+                for item in ast.walk(node):
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        names.add(item.name)
+                    targets = (item.targets if isinstance(item, ast.Assign)
+                               else [item.target]
+                               if isinstance(item, ast.AnnAssign) else [])
+                    for target in targets:
+                        if isinstance(target, ast.Name):
+                            names.add(target.id)
+                        elif (isinstance(target, ast.Attribute)
+                              and isinstance(target.value, ast.Name)
+                              and target.value.id == "self"):
+                            names.add(target.attr)
+
+    def resolved(name, seen=()):
+        names = set(own.get(name, ()))
+        for base in bases.get(name, ()):
+            if base not in seen:
+                names |= resolved(base, seen + (name,))
+        return names
+
+    return {name: resolved(name) for name in own}
+
+
+def paper_map_code_references():
+    """Every backticked ``Class.attr`` in the Code column of each table
+    of docs/PAPER_MAP.md (a call's arguments are ignored; a dotted
+    module path ending in a class name is not a ``Class.attr``)."""
+    path = os.path.join(REPO_ROOT, "docs", "PAPER_MAP.md")
+    column = None
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if not line.startswith("|"):
+                column = None
+                continue
+            cells = [cell.strip() for cell in line.strip().strip("|")
+                     .split("|")]
+            if column is None:  # a table's header row
+                column = cells.index("Code") if "Code" in cells else -1
+                continue
+            if column < 0 or column >= len(cells):
+                continue
+            for token in re.findall(r"`([^`]+)`", cells[column]):
+                parts = token.split("(", 1)[0].split(".")
+                if (len(parts) >= 2 and parts[-2][:1].isupper()
+                        and re.fullmatch(r"\w+", parts[-1])):
+                    yield parts[-2], parts[-1]
+
+
+def test_paper_map_code_references_resolve():
+    """A renamed or deleted method cannot stay named in the paper map."""
+    attributes = class_attributes()
+    references = list(paper_map_code_references())
+    assert ("DILQueryProcessor", "collect_topk") in references
+    stale = sorted(f"{cls}.{attr}" for cls, attr in references
+                   if attr not in attributes.get(cls, ()))
+    assert not stale, (
+        f"docs/PAPER_MAP.md names attributes no class under src/repro "
+        f"defines: {stale}")
