@@ -6,9 +6,9 @@ in-memory store, SQLite, and the compact mmap backend
 for a realistic slice of the Relationships index, then the two columns
 the compact codec exists for:
 
-* **postings/sec** -- how fast each on-disk representation turns into
-  query-servable posting data (SQLite rows fully decoded vs XPB1
-  blocks served lazily through the block fast path);
+* **postings/sec** -- how fast stored XPB1 blocks turn into
+  query-servable posting data (fully decoded to Dewey text vs served
+  lazily through the block fast path the query engine uses);
 * **resident bytes/posting** -- what a cached posting list costs to
   *hold* (eager ``Posting`` objects vs one compact block).
 
@@ -115,10 +115,10 @@ def test_compact_codec_columns(bench_engines, tmp_path, quick_mode):
                 writer.put_postings("relationships", keyword, postings)
 
         # postings/sec: persisted bytes -> query-servable DIL. The
-        # sqlite side decodes every row eagerly (its only mode); the
-        # mmap side serves the block fast path the query engine uses
-        # (directory parse now, posting decode deferred and usually
-        # skipped by top-k pruning).
+        # sqlite column decodes every block to Dewey text; the mmap
+        # column serves the block fast path the query engine uses on
+        # either backend (directory parse now, posting decode deferred
+        # and usually skipped by top-k pruning).
         sqlite_read, sqlite_seconds = _timed_reads(
             lambda kw: len(sqlite.get_postings("relationships", kw)),
             keywords, repetitions)
@@ -147,8 +147,10 @@ def test_compact_codec_columns(bench_engines, tmp_path, quick_mode):
     mm = MmapStore(mmap_path)
     try:
         eager_bytes = _resident_bytes(lambda: [
-            DeweyInvertedList.from_encoded(
-                Keyword.from_text(kw), payload[kw]).sorted_postings()
+            DeweyInvertedList.from_block(
+                Keyword.from_text(kw),
+                mm.get_posting_block("relationships", kw),
+            ).sorted_postings()
             for kw in keywords])
         # A compact list's resident cost is the block bytes themselves
         # (the mapping pages), exactly what size_bytes reports.
@@ -171,7 +173,7 @@ def test_compact_codec_columns(bench_engines, tmp_path, quick_mode):
         "",
         f"{'representation':<34}{'postings/sec':>14}"
         f"{'bytes/posting':>15}",
-        f"{'sqlite rows, eager decode':<34}{sqlite_rate:>14,.0f}"
+        f"{'sqlite blocks, full decode':<34}{sqlite_rate:>14,.0f}"
         f"{eager_bytes / n_postings:>15.1f}",
         f"{'mmap XPB1 blocks, lazy (query path)':<34}{mmap_rate:>14,.0f}"
         f"{compact_bytes / n_postings:>15.1f}",

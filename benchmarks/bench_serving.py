@@ -291,9 +291,9 @@ def test_serving_throughput_and_degradation(quick_mode, bench_corpus,
             if self.failing:
                 raise TransientStorageError("chaos: shard store down")
 
-        def get_postings(self, strategy, keyword):
+        def get_posting_block(self, strategy, keyword):
             self._guard()
-            return self._inner.get_postings(strategy, keyword)
+            return self._inner.get_posting_block(strategy, keyword)
 
         def keywords(self, strategy):
             self._guard()
@@ -319,8 +319,8 @@ def test_serving_throughput_and_degradation(quick_mode, bench_corpus,
             self._guard()
             return self._inner.metadata_keys()
 
-        def put_postings(self, strategy, keyword, postings):
-            self._inner.put_postings(strategy, keyword, postings)
+        def put_postings_many(self, strategy, items):
+            self._inner.put_postings_many(strategy, items)
 
         def put_document(self, doc_id, xml_text):
             self._inner.put_document(doc_id, xml_text)

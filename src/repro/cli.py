@@ -117,8 +117,8 @@ from .ir.tokenizer import KeywordQuery
 from .ontology.api import TerminologyService
 from .ontology.io import load_ontology
 from .storage.errors import StorageError
-from .storage.manifest import (CHECKSUM_KEY_PREFIX, MANIFEST_VERSION_KEY,
-                               atomic_sqlite_build, verify_manifest)
+from .storage.manifest import (CHECKSUM_KEY_PREFIX, atomic_sqlite_build,
+                               verify_manifest)
 from .storage.mmap_store import (MmapStore, atomic_mmap_build,
                                  open_read_store, sniff_store_format)
 from .storage.retrying import RetryingStore
@@ -236,8 +236,7 @@ def _open_read_store(path: str, args: argparse.Namespace,
     """Open one persisted index read-only under the one retry policy.
 
     Retries target the SQLite backend's transient faults (locked or
-    busy databases). An mmap store has none -- and wrapping it would
-    hide the zero-copy posting-block fast path.
+    busy databases). An mmap store has none, so it is not wrapped.
     """
     store = open_read_store(path, tracer=engine.tracer)
     if args.retries > 0 and not isinstance(store, MmapStore):
@@ -338,7 +337,13 @@ def command_index(args: argparse.Namespace) -> int:
     engine = _make_engine(args, corpus, ontology, tracer)
     ontology_cache = None
     if args.ontology_cache:
-        cache_store = SQLiteStore(args.ontology_cache)
+        try:
+            cache_store = SQLiteStore(args.ontology_cache)
+        except StorageError as exc:
+            print(f"error: cannot use ontology cache "
+                  f"{args.ontology_cache}: {exc} (delete the file; the "
+                  f"next build refills it)", file=sys.stderr)
+            return 2
         ontology_cache = engine.attach_ontology_cache(cache_store)
         if ontology_cache is None:  # xrank has nothing to cache
             cache_store.close()
@@ -381,7 +386,6 @@ def _append_to_stores(args: argparse.Namespace, engine: FederatedEngine,
     data directory's documents the store has not indexed yet."""
     from .core.stats import (APPEND_KEYWORDS_BUILT,
                              APPEND_KEYWORDS_SKIPPED, SEGMENTS_LIVE)
-    from .storage.errors import IncompatibleIndexError
     from .storage.segments import load_catalog
     missing = [path for path in paths if not os.path.exists(path)]
     if missing:
@@ -399,9 +403,13 @@ def _append_to_stores(args: argparse.Namespace, engine: FederatedEngine,
               f"sqlite format", file=sys.stderr)
         return 2
     with contextlib.ExitStack() as stack:
-        stores = [stack.enter_context(SQLiteStore(path,
-                                                  tracer=engine.tracer))
-                  for path in paths]
+        try:
+            stores = [stack.enter_context(
+                SQLiteStore(path, tracer=engine.tracer)) for path in paths]
+        except StorageError as exc:
+            print(f"error: cannot append to {args.store}: {exc}",
+                  file=sys.stderr)
+            return 2
         held: set[int] = set()
         for store in stores:
             catalog = load_catalog(store)
@@ -604,39 +612,19 @@ def command_verify_index(args: argparse.Namespace) -> int:
     if not os.path.exists(args.store):
         print(f"error: no index store at {args.store}", file=sys.stderr)
         return 2
-    block_lines: list[str] = []
-    block_problems: list[str] = []
     try:
         with open_read_store(args.store) as store:
-            if isinstance(store, MmapStore):
-                from .storage.mmap_store import CONTAINER_VERSION
-                from .storage.codec import FORMAT_VERSION
-                format_line = (f"format: mmap store (container "
-                               f"v{CONTAINER_VERSION}, compact posting "
-                               f"blocks v{FORMAT_VERSION})")
-                per_strategy, raw, block_problems = store.block_report()
-                for strategy in sorted(per_strategy):
-                    block_lines.append(
-                        f"blocks[{strategy}]: "
-                        f"{per_strategy[strategy]} compact posting "
-                        f"blocks crc32-verified")
-                if raw:
-                    block_lines.append(
-                        f"blocks: {raw} raw (uncompacted-form) posting "
-                        f"records parsed")
-            else:
-                version = store.get_metadata(MANIFEST_VERSION_KEY)
-                format_line = (f"format: sqlite row store (manifest "
-                               f"v{version})" if version else
-                               "format: sqlite row store (no manifest)")
+            format_line = f"format: {store.format_description()}"
+            per_namespace, _, block_problems = store.block_report()
             report = verify_manifest(store)
     except StorageError as exc:
         print(f"verify-index: FAIL {args.store}: {exc}")
         return 1
     print(f"verify-index: {args.store}")
     print(f"  {format_line}")
-    for line in block_lines:
-        print(f"  {line}")
+    for namespace in sorted(per_namespace):
+        print(f"  blocks[{namespace}]: {per_namespace[namespace]} "
+              f"compact posting blocks crc32-verified")
     for problem in block_problems:
         print(f"  blocks: FAIL - {problem}")
     for line in report.describe():

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ...ir.tokenizer import Keyword
+from ...storage.codec import encode_triples
 from ...storage.interface import EncodedPosting
 from ...xmldoc.dewey import DeweyID
 
@@ -144,13 +145,14 @@ class DeweyInvertedList:
     def encoded(self) -> list[EncodedPosting]:
         return [posting.encoded() for posting in self._postings]
 
-    @classmethod
-    def from_encoded(cls, keyword: Keyword,
-                     encoded: Sequence[EncodedPosting],
-                     ) -> "DeweyInvertedList":
-        postings = [Posting(DeweyID.parse(dewey), score)
-                    for dewey, score in encoded]
-        return cls(keyword, postings)
+    def items(self) -> Iterator[tuple[int, tuple[int, ...], float]]:
+        """``(doc_id, path, score)`` triples in Dewey order."""
+        return ((posting.dewey.doc_id, posting.dewey.path, posting.score)
+                for posting in self._postings)
+
+    def to_bytes(self) -> bytes:
+        """The list as one XPB1 block -- what stores persist."""
+        return encode_triples(self.items())
 
     @staticmethod
     def from_block(keyword: Keyword, block) -> "DeweyInvertedList":
@@ -166,6 +168,10 @@ class CompactDeweyInvertedList(DeweyInvertedList):
     directory has already been parsed by the codec, so
     :meth:`doc_max_scores` (the bounded-top-k pruning sidecar) and
     :meth:`document_ids` answer without decoding a single posting.
+    :meth:`doc_run` decodes one document's run the first time a query
+    visits the document and keeps it: the memo lives as long as the
+    list does, so a list the DIL cache holds is decoded at most once
+    per document, and an evicted list takes its runs with it.
     Whole-list consumers (:meth:`sorted_postings`, iteration) decode
     and cache the materialized list on first use, after which this
     behaves exactly like an eager list -- the class is a representation
@@ -178,6 +184,7 @@ class CompactDeweyInvertedList(DeweyInvertedList):
         self.block = block
         self._doc_max: dict[int, float] | None = None
         self._materialized: list[Posting] | None = None
+        self._runs: dict[int, list[tuple[tuple[int, ...], float]]] = {}
 
     def _postings_list(self) -> list[Posting]:
         if self._materialized is None:
@@ -207,6 +214,15 @@ class CompactDeweyInvertedList(DeweyInvertedList):
         return self.block.size_bytes()
 
     # -- decoding reads --------------------------------------------------
+    def doc_run(self, doc_id: int) -> list[tuple[tuple[int, ...], float]]:
+        """One document's ``(path, score)`` run, decoded on the first
+        visit and memoized. Concurrent queries may both decode a run;
+        they store equal lists."""
+        run = self._runs.get(doc_id)
+        if run is None:
+            run = self._runs[doc_id] = self.block.doc_postings(doc_id)
+        return run
+
     def __iter__(self) -> Iterator[Posting]:
         if self._materialized is not None:
             return iter(self._materialized)
@@ -219,14 +235,14 @@ class CompactDeweyInvertedList(DeweyInvertedList):
     def sorted_postings(self) -> Sequence[Posting]:
         return self._postings_list()
 
-    def postings_for_doc(self, doc_id: int) -> list[Posting]:
-        """Decode exactly one document's run (used by the query
-        processor's document streams for document-granular skipping)."""
-        return [Posting(DeweyID(doc_id, path), score)
-                for path, score in self.block.doc_postings(doc_id)]
-
     def encoded(self) -> list[EncodedPosting]:
         return self.block.encoded()
+
+    def items(self) -> Iterator[tuple[int, tuple[int, ...], float]]:
+        return self.block.items()
+
+    def to_bytes(self) -> bytes:
+        return self.block.to_bytes()
 
 
 @dataclass

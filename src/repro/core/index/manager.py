@@ -26,8 +26,7 @@ from typing import Iterable, MutableMapping
 
 from ...ir.tokenizer import Keyword
 from ...storage import manifest as store_manifest
-from ...storage.errors import (CorruptIndexError, IncompatibleIndexError,
-                               StorageError)
+from ...storage.errors import IncompatibleIndexError, StorageError
 from ...storage.interface import IndexStore
 from ...storage.segments import segment_view
 from ...xmldoc.model import Corpus
@@ -35,9 +34,9 @@ from ...xmldoc.serializer import serialize
 from ..cache import DILCache
 from ..config import XOntoRankConfig
 from ..obs.tracer import NULL_TRACER
-from ..stats import (CODEC_LAZY_LISTS, CODEC_RAW_FALLBACKS,
-                     FALLBACK_REBUILDS, INTEGRITY_FAILURES,
-                     INTEGRITY_VALIDATIONS, CacheStats, StatsRegistry)
+from ..stats import (CODEC_LAZY_LISTS, FALLBACK_REBUILDS,
+                     INTEGRITY_FAILURES, INTEGRITY_VALIDATIONS, CacheStats,
+                     StatsRegistry)
 from .builder import IndexBuilder
 from .dil import (DeweyInvertedList, XOntoDILIndex, index_key,
                   keyword_from_key)
@@ -172,49 +171,32 @@ class IndexManager:
         """One stored posting list (``None`` when the store holds none
         for the key) -- and the one place a failed store read becomes a
         rebuild or a raise, for :meth:`load_index` and read-through
-        alike. An undecodable list is a :class:`CorruptIndexError`; any
-        other :class:`StorageError` is kept as it came. ``on_error`` is
+        alike. A damaged block is a :class:`CorruptIndexError`; any
+        :class:`StorageError` is kept as it came. ``on_error`` is
         :meth:`attach_read_store`'s: ``None`` raises, a callable
         returning True rebuilds the list from the corpus (counted under
         ``engine.fallback.rebuilds``)."""
-        failure: StorageError
         try:
             return self._dil_from_store(store, key, keyword)
-        except ValueError as exc:
-            failure = CorruptIndexError(
-                f"stored posting list for {key!r} is corrupt: {exc}")
-            failure.__cause__ = exc
-        except StorageError as exc:
-            failure = exc
-        if on_error is None or not on_error(failure):
-            raise failure
+        except StorageError as failure:
+            if on_error is None or not on_error(failure):
+                raise
         self.stats.increment(FALLBACK_REBUILDS)
         return self.builder.build_keyword(keyword)[0]
 
     def _dil_from_store(self, store: IndexStore, key: str,
                         keyword: Keyword) -> DeweyInvertedList | None:
-        """One keyword's DIL out of ``store``, lazily when possible.
-
-        A store exposing ``get_posting_block`` (the mmap backend)
-        serves most lists as compact blocks wrapped *without decoding a
-        posting* -- construction cost is the block's document
-        directory, and bounded top-k can prune whole documents from the
-        directory's ``doc_max`` sidecar alone. Raw records and
-        block-less backends take the eager decoded path. Returns
-        ``None`` when the store holds no postings for the key.
+        """One keyword's DIL out of ``store``: its compact block wrapped
+        *without decoding a posting* -- construction cost is the
+        block's document directory, and bounded top-k can prune whole
+        documents from the directory's ``doc_max`` sidecar alone.
+        Returns ``None`` when the store holds no postings for the key.
         """
-        block_reader = getattr(store, "get_posting_block", None)
-        if block_reader is not None:
-            block = block_reader(self.strategy, key)
-            if block is not None:
-                self.stats.increment(CODEC_LAZY_LISTS)
-                return DeweyInvertedList.from_block(keyword, block)
-        encoded = store.get_postings(self.strategy, key)
-        if not encoded:
+        block = store.get_posting_block(self.strategy, key)
+        if block is None:
             return None
-        if block_reader is not None:
-            self.stats.increment(CODEC_RAW_FALLBACKS)
-        return DeweyInvertedList.from_encoded(keyword, encoded)
+        self.stats.increment(CODEC_LAZY_LISTS)
+        return DeweyInvertedList.from_block(keyword, block)
 
     def cache_stats(self) -> CacheStats:
         """Hit/miss/eviction counters of the DIL cache."""
@@ -282,8 +264,7 @@ class IndexManager:
             with self.tracer.span("storage.save_index"):
                 checksum = store_manifest.replace_namespace(
                     store, self.strategy,
-                    {key: dil.encoded()
-                     for key, dil in index.lists.items() if dil})
+                    {key: dil for key, dil in index.lists.items() if dil})
         for key, dil in index.lists.items():
             keyword = keyword_from_key(key)
             self.dil_cache.put((keyword.text, keyword.is_phrase), dil)

@@ -16,10 +16,11 @@ maintenance on top of :mod:`repro.storage.segments`:
 * **remove** -- a tombstone: the document leaves the catalog's live
   set (one metadata write); its rows linger, masked, until compaction.
 * **compact** -- folds every live segment into one via the
-  ``heapq.merge`` newest-wins posting merge, commits the new catalog,
-  then garbage-collects dead namespaces, tombstoned document rows and
-  any orphans from crashed mutations, and gives the freed file space
-  back.
+  newest-wins run merge (each live document's run copied from the
+  newest segment holding it, no posting decoded), commits the new
+  catalog, then garbage-collects dead namespaces, tombstoned document
+  rows and any orphans from crashed mutations, and gives the freed
+  file space back.
 
 Every namespace write is one
 :func:`~repro.storage.manifest.replace_namespace` batch and an append's
@@ -53,9 +54,8 @@ from ...storage.manifest import (CHECKSUM_KEY_PREFIX,
                                  require_complete, store_checksum)
 from ...storage.errors import IncompatibleIndexError
 from ...storage.segments import (SegmentCatalog, SegmentRecord,
-                                 load_catalog, merged_lists,
-                                 merged_postings, save_catalog,
-                                 segment_namespace)
+                                 load_catalog, merged_block, merged_lists,
+                                 save_catalog, segment_namespace)
 from ...xmldoc.model import Corpus, XMLDocument
 from ...xmldoc.serializer import serialize
 from ..config import XRANK
@@ -273,9 +273,11 @@ class SegmentLifecycle:
             with self.manager.tracer.span(
                     "query.segment_merge", keyword=keyword.text,
                     segments=len(self.catalog.segments)) as span:
-                rows = merged_postings(self.store, self.catalog, key)
-                span.annotate(postings=len(rows))
-            return DeweyInvertedList.from_encoded(keyword, rows)
+                block = merged_block(self.store, self.catalog, key)
+                if block is None:
+                    return DeweyInvertedList(keyword)
+                span.annotate(postings=block.posting_count)
+            return DeweyInvertedList.from_block(keyword, block)
         return self._builder.build_keyword(keyword,
                                            self.catalog.live_set)[0]
 
@@ -391,7 +393,7 @@ class SegmentLifecycle:
             built += 1
             dil, _ = builder.build_keyword(keyword, new_ids)
             if dil:
-                lists[key] = dil.encoded()
+                lists[key] = dil
         live_after = self.catalog.live_set | new_ids
         for word in sorted(new_vocabulary):
             keyword = Keyword.from_text(word)
@@ -401,7 +403,7 @@ class SegmentLifecycle:
             built += 1
             dil, _ = builder.build_keyword(keyword, live_after)
             if dil:
-                lists[key] = dil.encoded()
+                lists[key] = dil
         return built, skipped, dict(sorted(lists.items()))
 
     def _cannot_touch(self, keyword: Keyword, new_tokens: set[str],

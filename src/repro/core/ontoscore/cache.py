@@ -5,18 +5,20 @@ OntoScore expansions are pure functions of ``(ontology content,
 strategy, expansion parameters, keyword)`` -- yet every index build
 recomputes every expansion from the in-memory graph, which is exactly
 the cost the Table III / Figure 11 decade sweeps measure. This module
-persists the expansions through any :class:`IndexStore`, keyed by a
-*descriptor* combining the ontology's content fingerprint
+persists the expansions as metadata entries of any :class:`IndexStore`,
+keyed by a *descriptor* combining the ontology's content fingerprint
 (:meth:`~repro.ontology.model.Ontology.fingerprint`), the strategy
-name, and the parameters that shape the flow. A store whose descriptor
+name, and the parameters that shape the flow. Each expansion is one
+JSON value -- ``[[concept code, score], ...]`` -- under the key
+``onto.cache.<strategy>.<epoch>.<keyword>``. A store whose descriptor
 does not match the attaching computation is **invalidated**: the cache
-advances to a fresh generation (an epoch-suffixed posting namespace)
-rather than serving scores from a different ontology or configuration.
+advances to a fresh generation (a new epoch in the key prefix) rather
+than serving scores from a different ontology or configuration.
 
 Write-back is buffered: :meth:`OntoScoreCache.put` holds each computed
 expansion in memory (where :meth:`~OntoScoreCache.get` already sees it)
 until :meth:`~OntoScoreCache.flush` lands the whole batch with one
-``put_postings_many`` -- one transaction per build on SQLite, not one
+``put_metadata_many`` -- one transaction per build on SQLite, not one
 per keyword. The engine's ``build_index`` and ``add_documents`` flush,
 and so does :meth:`~OntoScoreCache.close`.
 
@@ -38,15 +40,10 @@ from ..stats import (ONTOLOGY_CACHE_HITS, ONTOLOGY_CACHE_INVALIDATIONS,
 
 #: Bumped whenever the cached-entry encoding changes; part of the
 #: descriptor, so old stores invalidate instead of misdecoding.
-CACHE_VERSION = "XOC1"
+CACHE_VERSION = "XOC2"
 
 _EPOCH_KEY = "onto.cache.{strategy}.epoch"
 _DESCRIPTOR_KEY = "onto.cache.{strategy}.descriptor"
-
-#: Sentinel posting distinguishing a *cached empty expansion* from a
-#: cache miss (both read back as "no postings" otherwise). The empty
-#: dewey cannot collide with a concept code.
-_EMPTY_SENTINEL = ("", -1.0)
 
 
 def expansion_params(config: XOntoRankConfig, *,
@@ -101,10 +98,10 @@ class OntoScoreCache:
             epoch += 1
             store.put_metadata_many([(descriptor_key, self.descriptor),
                                      (epoch_key, str(epoch))])
-        self._namespace = f"onto.cache.{strategy}.{epoch}"
+        self._prefix = f"onto.cache.{strategy}.{epoch}."
         self.epoch = epoch
         # Expansions put since the last flush, keyed like the store.
-        self._pending: dict[str, list[tuple[str, float]]] = {}
+        self._pending: dict[str, str] = {}
 
     @property
     def store(self) -> IndexStore:
@@ -115,48 +112,41 @@ class OntoScoreCache:
         return self._stats
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(keyword: Keyword) -> str:
-        # Mirrors repro.core.index.dil.index_key (kept local: the
-        # index package imports this package during init): phrases are
-        # quoted so "asthma" and asthma stay distinct entries.
-        return (f'"{keyword.text}"' if keyword.is_phrase
-                else keyword.text)
+    def _key(self, keyword: Keyword) -> str:
+        # The keyword part mirrors repro.core.index.dil.index_key (kept
+        # local: the index package imports this package during init):
+        # phrases are quoted so "asthma" and asthma stay distinct.
+        return self._prefix + (f'"{keyword.text}"' if keyword.is_phrase
+                               else keyword.text)
 
     def get(self, keyword: Keyword) -> dict[str, float] | None:
         """The cached expansion map (buffered or stored), or ``None``
         on a miss."""
         key = self._key(keyword)
-        postings = self._pending.get(key)
-        if postings is None:
-            postings = self._store.get_postings(self._namespace, key)
-        if not postings:
+        value = self._pending.get(key)
+        if value is None:
+            value = self._store.get_metadata(key)
+        if value is None:
             self._stats.increment(ONTOLOGY_CACHE_MISSES)
             return None
         self._stats.increment(ONTOLOGY_CACHE_HITS)
-        if list(postings) == [_EMPTY_SENTINEL]:
-            return {}
-        return {code: score for code, score in postings}
+        return {code: score for code, score in json.loads(value)}
 
     def put(self, keyword: Keyword, scores: dict[str, float]) -> None:
         """Buffer one keyword's expansion (empty maps included) for the
         next :meth:`flush`."""
-        if scores:
-            postings = sorted(
-                ((str(code), float(score))
-                 for code, score in scores.items()),
-                key=lambda item: ((0, len(item[0]), item[0])
-                                  if item[0].isdigit()
-                                  else (1, 0, item[0])))
-        else:
-            postings = [_EMPTY_SENTINEL]
-        self._pending[self._key(keyword)] = postings
+        entries = sorted(
+            ([str(code), float(score)] for code, score in scores.items()),
+            key=lambda item: ((0, len(item[0]), item[0])
+                              if item[0].isdigit() else (1, 0, item[0])))
+        self._pending[self._key(keyword)] = json.dumps(
+            entries, separators=(",", ":"))
 
     def flush(self) -> None:
-        """Write every buffered expansion with one ``put_postings_many``."""
+        """Write every buffered expansion with one ``put_metadata_many``."""
         if self._pending:
             pending, self._pending = self._pending, {}
-            self._store.put_postings_many(self._namespace, pending.items())
+            self._store.put_metadata_many(pending.items())
 
     def close(self) -> None:
         self.flush()

@@ -95,27 +95,28 @@ class _DocStream:
 
     A compact (block-backed) DIL gets a better deal still: its block's
     document directory locates the run exactly, so skipped documents
-    cost nothing and visited documents decode only their own run into
-    path tuples -- neither the materialized posting sequence nor a
-    Dewey ID per posting is ever built. The per-call streams also keep
-    block-backed DILs safely shareable across concurrent queries: all
-    cursor state lives here, the block itself is immutable.
+    cost nothing and visited documents read only their own run as path
+    tuples, decoded once per list (``CompactDeweyInvertedList.doc_run``)
+    -- neither the materialized posting sequence nor a Dewey ID per
+    posting is ever built. The per-call streams also keep block-backed
+    DILs safely shareable across concurrent queries: all cursor state
+    lives here, the block itself is immutable.
     """
 
-    __slots__ = ("_postings", "_index", "_pos", "_block")
+    __slots__ = ("_postings", "_index", "_pos", "_doc_run")
 
     def __init__(self, dil: DeweyInvertedList, index: int) -> None:
         self._index = index
         self._pos = 0
-        self._block = dil.block
+        self._doc_run = dil.doc_run if dil.block is not None else None
         self._postings = (dil.sorted_postings()
-                          if self._block is None else ())
+                          if self._doc_run is None else ())
 
     def doc_postings(self, doc_id: int) -> list[_MergeItem]:
         index = self._index
-        if self._block is not None:
+        if self._doc_run is not None:
             return [(path, index, score)
-                    for path, score in self._block.doc_postings(doc_id)]
+                    for path, score in self._doc_run(doc_id)]
         postings = self._postings
         start = bisect.bisect_left(postings, doc_id, lo=self._pos,
                                    key=_doc_id)

@@ -85,12 +85,9 @@ COMPACTIONS = "index.compactions"
 #: Retry loops cut short because the next backoff sleep would have
 #: overshot the caller's time budget or ambient request deadline.
 RETRY_BUDGET_EXHAUSTED = "storage.retry.budget_exhausted"
-#: Posting lists served as *lazy* compact blocks (zero-copy, postings
-#: decoded per document on demand) from a block-capable store.
+#: Posting lists served as *lazy* compact blocks (postings decoded per
+#: document on demand) from a store.
 CODEC_LAZY_LISTS = "storage.codec.lazy_lists"
-#: Posting lists a block-capable store could only serve eagerly (raw
-#: records: lists the compact codec cannot represent).
-CODEC_RAW_FALLBACKS = "storage.codec.raw_fallbacks"
 #: OntoScore expansions served from the persisted expansion cache.
 ONTOLOGY_CACHE_HITS = "ontology.cache.hits"
 #: OntoScore expansions computed because the cache had no entry

@@ -13,7 +13,7 @@ from .manifest import (BUILD_COMPLETE_KEY, CHECKSUM_KEY_PREFIX,
                        mark_build_started, postings_checksum,
                        require_complete, store_checksum, verify_manifest)
 from .codec import (PostingBlock, UnencodablePostings, decode_postings,
-                    encode_postings)
+                    encode_postings, encode_triples)
 from .memory_store import MemoryStore
 from .mmap_store import (MmapStore, MmapStoreWriter, atomic_mmap_build,
                          open_read_store, sniff_store_format,
@@ -34,6 +34,7 @@ __all__ = [
     "StorageError", "TransientStorageError", "UnencodablePostings",
     "atomic_mmap_build", "atomic_sqlite_build", "canonical_dump",
     "corpus_fingerprint", "decode_postings", "encode_postings",
+    "encode_triples",
     "finalize_manifest", "load_catalog", "manifest_strategies",
     "mark_build_started", "open_read_store", "postings_checksum",
     "require_complete", "save_catalog", "segment_namespace",

@@ -16,6 +16,12 @@ unread.  This module packs a whole posting list into one flat binary
 * decodes lazily, one document run at a time, behind the existing
   ``DeweyInvertedList`` API.
 
+The block is the only posting representation that crosses the
+:class:`~repro.storage.interface.IndexStore` boundary: writers encode
+blocks straight from ``(doc_id, path, score)`` triples
+(:func:`encode_triples`), every backend stores them as they are, and
+every read hands back a :class:`PostingBlock`.
+
 The byte layout is normatively specified in ``docs/STORAGE.md``; this
 docstring is a summary, the spec wins.  In short::
 
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.storage.errors import CorruptIndexError, IncompatibleIndexError
 
@@ -63,8 +69,8 @@ _SCORE_SIZE = _SCORE.size
 
 class UnencodablePostings(ValueError):
     """The posting list violates the codec's preconditions (unsorted,
-    duplicate, or non-canonical Dewey strings).  Writers catch this and
-    fall back to a raw record; it never signals corruption."""
+    duplicate, or non-canonical Dewey strings).  Raised at write time;
+    it never signals corruption."""
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +104,16 @@ def _read_varint(buf, pos: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Dewey parsing (canonical dotted-decimal only)
+# Dewey text (canonical dotted-decimal only)
 # ----------------------------------------------------------------------
+
+def dotted(doc_id: int, path: tuple[int, ...]) -> str:
+    """``(3, (0, 2)) -> "3.0.2"``: the text form of a posting's Dewey
+    ID, as ``canonical_dump`` and the manifest checksums render it."""
+    if path:
+        return f"{doc_id}." + ".".join(map(str, path))
+    return str(doc_id)
+
 
 def _parse_dewey(text: str) -> tuple[int, tuple[int, ...]]:
     """``"3.0.2" -> (3, (0, 2))``, rejecting anything whose re-encoding
@@ -118,64 +132,105 @@ def _parse_dewey(text: str) -> tuple[int, tuple[int, ...]]:
 # Encoding
 # ----------------------------------------------------------------------
 
-def encode_postings(postings: Sequence[tuple[str, float]]) -> bytes:
-    """Pack an encoded posting list into one binary block.
+#: One document run ready for the payload:
+#: ``(doc_id, posting count, run bytes, doc max score)``.
+_Run = tuple[int, int, bytes, float]
 
-    ``postings`` must be sorted strictly ascending by
-    ``(doc_id, path)`` -- the invariant every ``DeweyInvertedList``
-    already maintains -- and every Dewey string must be canonical
-    dotted-decimal.  Raises :class:`UnencodablePostings` otherwise (the
-    mmap writer falls back to a raw record for such lists, preserving
-    the store contract bit-for-bit).
+
+def encode_triples(
+        triples: Iterable[tuple[int, tuple[int, ...], float]]) -> bytes:
+    """Pack ``(doc_id, path, score)`` triples into one binary block.
+
+    The triples must be sorted strictly ascending by ``(doc_id, path)``
+    -- the invariant every ``DeweyInvertedList`` already maintains.
+    Raises :class:`UnencodablePostings` otherwise.  This is the one
+    encoder every index writer uses; no Dewey text is involved.
     """
-    runs: list[tuple[int, int, bytes, float]] = []  # doc, count, bytes, max
+    runs: list[_Run] = []
     run = bytearray()
     run_count = 0
     run_max = 0.0
     current_doc = -1
     previous_path: tuple[int, ...] = ()
-    previous_key: tuple[int, tuple[int, ...]] | None = None
-    total = 0
 
-    def flush() -> None:
-        nonlocal run, run_count
-        if run_count:
-            runs.append((current_doc, run_count, bytes(run), run_max))
-        run = bytearray()
-        run_count = 0
-
-    for dewey, score in postings:
-        doc_id, path = _parse_dewey(dewey)
-        key = (doc_id, path)
-        if previous_key is not None and key <= previous_key:
-            raise UnencodablePostings(
-                f"postings not strictly ascending at {dewey!r}")
-        previous_key = key
+    for doc_id, path, score in triples:
         score = float(score)
         if doc_id != current_doc:
-            flush()
+            if doc_id < current_doc:
+                raise UnencodablePostings(
+                    f"postings not strictly ascending at "
+                    f"{dotted(doc_id, path)!r}")
+            if run_count:
+                runs.append((current_doc, run_count, bytes(run), run_max))
+            run = bytearray()
+            run_count = 0
             current_doc = doc_id
             previous_path = ()
             run_max = score
-        elif score > run_max:
-            run_max = score
+        else:
+            if path <= previous_path:
+                raise UnencodablePostings(
+                    f"postings not strictly ascending at "
+                    f"{dotted(doc_id, path)!r}")
+            if score > run_max:
+                run_max = score
         reuse = 0
         limit = min(len(previous_path), len(path))
         while reuse < limit and previous_path[reuse] == path[reuse]:
             reuse += 1
-        _append_varint(run, reuse)
-        _append_varint(run, len(path) - reuse)
-        for component in path[reuse:]:
-            _append_varint(run, component)
+        head = (reuse, len(path) - reuse) + path[reuse:]
+        if max(head) < 0x80:  # every varint is one byte: the usual case
+            run += bytes(head)
+        else:
+            for value in head:
+                _append_varint(run, value)
         run += _SCORE.pack(score)
         previous_path = path
         run_count += 1
-        total += 1
-    flush()
+    if run_count:
+        runs.append((current_doc, run_count, bytes(run), run_max))
+    return _assemble(runs)
 
+
+def encode_postings(postings: Sequence[tuple[str, float]]) -> bytes:
+    """:func:`encode_triples` over dotted-decimal ``(dewey, score)``
+    pairs -- an adapter for tests and tools that hold Dewey text.
+    Every Dewey string must be canonical dotted-decimal."""
+    return encode_triples((*_parse_dewey(dewey), score)
+                          for dewey, score in postings)
+
+
+def splice_runs(runs: Iterable[tuple["PostingBlock", int]]) -> bytes:
+    """A new block made of other blocks' document runs, copied verbatim.
+
+    ``runs`` names ``(block, run index)`` pairs in strictly ascending
+    document order.  A run is self-contained (its path prefix
+    compression restarts at every document), so the result is
+    byte-identical to encoding the same postings from scratch -- and
+    no posting is decoded on the way.
+    """
+    out: list[_Run] = []
+    previous = -1
+    for block, index in runs:
+        doc_id = block._doc_ids[index]
+        if doc_id <= previous:
+            raise UnencodablePostings(
+                f"spliced runs not strictly ascending at document "
+                f"{doc_id}")
+        previous = doc_id
+        start = block._run_offsets[index]
+        out.append((doc_id, block._run_counts[index],
+                    bytes(block._payload[start:start
+                                         + block._run_lengths[index]]),
+                    block._doc_maxes[index]))
+    return _assemble(out)
+
+
+def _assemble(runs: Sequence[_Run]) -> bytes:
+    """Header, directory and runs of one block."""
     payload = bytearray()
     _append_varint(payload, len(runs))
-    _append_varint(payload, total)
+    _append_varint(payload, sum(count for _, count, _, _ in runs))
     previous_doc = 0
     for index, (doc_id, count, run_bytes, doc_max) in enumerate(runs):
         _append_varint(payload, doc_id if index == 0
@@ -207,7 +262,8 @@ class PostingBlock:
     mapping alive until garbage-collected.
     """
 
-    __slots__ = ("_payload", "posting_count", "doc_count", "_doc_ids",
+    __slots__ = ("_data", "_payload", "posting_count", "doc_count",
+                 "_doc_ids",
                  "_doc_maxes", "_run_counts", "_run_offsets",
                  "_run_lengths", "_doc_index")
 
@@ -232,6 +288,7 @@ class PostingBlock:
                 f"payload bytes, {len(payload)} present")
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CorruptIndexError("posting block checksum mismatch")
+        self._data = view[:HEADER_SIZE + length]
         self._payload = payload
 
         pos = 0
@@ -285,32 +342,44 @@ class PostingBlock:
         return dict(zip(self._doc_ids, self._doc_maxes))
 
     def size_bytes(self) -> int:
-        return HEADER_SIZE + len(self._payload)
+        return len(self._data)
+
+    def to_bytes(self) -> bytes:
+        """The block's bytes, header included -- what a store writes."""
+        return bytes(self._data)
 
     # -- run decoding ---------------------------------------------------
 
     def _decode_run(self, index: int) -> list[tuple[tuple[int, ...],
                                                     float]]:
-        payload = self._payload
-        pos = self._run_offsets[index]
-        end = pos + self._run_lengths[index]
+        start = self._run_offsets[index]
+        data = bytes(self._payload[start:start + self._run_lengths[index]])
+        end = len(data)
+        pos = 0
         path: tuple[int, ...] = ()
         out = []
         for _ in range(self._run_counts[index]):
-            reuse, pos = _read_varint(payload, pos)
-            extend, pos = _read_varint(payload, pos)
+            reuse, pos = _read_varint(data, pos)
+            extend, pos = _read_varint(data, pos)
             if reuse > len(path):
                 raise CorruptIndexError(
                     "posting run reuses a longer prefix than exists")
-            components = []
-            for _ in range(extend):
-                component, pos = _read_varint(payload, pos)
-                components.append(component)
+            tail = data[pos:pos + extend]
+            if len(tail) == extend and tail.isascii():
+                # Every component is a one-byte varint: the usual case.
+                components = tuple(tail)
+                pos += extend
+            else:
+                varints = []
+                for _ in range(extend):
+                    component, pos = _read_varint(data, pos)
+                    varints.append(component)
+                components = tuple(varints)
             if pos + _SCORE_SIZE > end:
                 raise CorruptIndexError("posting run truncated")
-            score = _SCORE.unpack_from(payload, pos)[0]
+            score = _SCORE.unpack_from(data, pos)[0]
             pos += _SCORE_SIZE
-            path = path[:reuse] + tuple(components)
+            path = path[:reuse] + components
             out.append((path, score))
         if pos != end:
             raise CorruptIndexError(
@@ -336,14 +405,8 @@ class PostingBlock:
     def encoded(self) -> list[tuple[str, float]]:
         """The dotted-decimal ``(dewey, score)`` list -- byte-identical
         to what :func:`encode_postings` was given."""
-        out = []
-        for doc_id, path, score in self.items():
-            if path:
-                dewey = f"{doc_id}." + ".".join(map(str, path))
-            else:
-                dewey = str(doc_id)
-            out.append((dewey, score))
-        return out
+        return [(dotted(doc_id, path), score)
+                for doc_id, path, score in self.items()]
 
 
 def decode_postings(block: bytes) -> list[tuple[str, float]]:

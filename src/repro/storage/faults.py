@@ -8,8 +8,8 @@
   (a seeded PRNG, so a given seed always produces the same fault
   pattern and tests are reproducible);
 * **corruption** -- posting lists of ``corrupt_keywords`` come back
-  with mangled Dewey IDs, modeling on-disk damage that only shows at
-  decode time;
+  with a flipped payload byte, modeling on-disk damage that the block
+  checksum catches when the list is read;
 * **latency** -- every guarded call sleeps ``latency`` seconds first
   (the sleep function is injectable so tests just count calls);
 * **simulated crashes** -- after ``fail_after_writes`` successful write
@@ -26,22 +26,20 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from ..core.stats import (FAULTS_CORRUPTION, FAULTS_CRASHES,
                           FAULTS_LATENCY, FAULTS_TRANSIENT,
                           StatsRegistry)
+from .codec import HEADER_SIZE, PostingBlock, encode_triples
 from .errors import StorageError, TransientStorageError
-from .interface import EncodedPosting, IndexStore
+from .interface import IndexStore, open_block
 
-#: Dewey string injected in place of real ones for corrupt keywords;
-#: guaranteed unparseable by :meth:`repro.xmldoc.dewey.DeweyID.parse`.
-CORRUPT_DEWEY = "corrupt.posting.!"
-
-#: Batch writes (``put_postings_many`` / ``put_documents_many`` /
-#: ``put_metadata_many``) are not listed: they keep the interface's
-#: per-item loop, so every list, document or entry of a batch is its
-#: own write and its own cut point.
+#: Batch writes are not listed: ``put_postings_many`` guards each list
+#: as a ``put_postings`` write, and ``put_documents_many`` /
+#: ``put_metadata_many`` keep the interface's per-item loop, so every
+#: list, document or entry of a batch is its own write and its own cut
+#: point.
 _WRITE_OPERATIONS = frozenset(
     {"put_postings", "put_document", "put_metadata",
      "delete_document", "reclaim_space"})
@@ -113,21 +111,24 @@ class FaultInjectingStore(IndexStore):
             self._writes += 1
 
     # ------------------------------------------------------------------
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
-        self._guard("put_postings")
-        self._inner.put_postings(strategy, keyword, postings)
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, bytes | None]]) -> None:
+        for keyword, data in items:
+            self._guard("put_postings")
+            self._inner.put_postings_many(strategy, [(keyword, data)])
 
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
-        self._guard("get_postings")
-        postings = self._inner.get_postings(strategy, keyword)
-        if keyword in self._corrupt_keywords:
-            self._stats.increment(FAULTS_CORRUPTION)
-            if not postings:
-                return [(CORRUPT_DEWEY, 1.0)]
-            return [(CORRUPT_DEWEY, score) for _, score in postings]
-        return postings
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
+        self._guard("get_posting_block")
+        block = self._inner.get_posting_block(strategy, keyword)
+        if keyword not in self._corrupt_keywords:
+            return block
+        self._stats.increment(FAULTS_CORRUPTION)
+        damaged = bytearray(block.to_bytes() if block is not None
+                            else encode_triples([(0, (), 1.0)]))
+        damaged[HEADER_SIZE] ^= 0xFF
+        return open_block(bytes(damaged), strategy, keyword)
 
     def keywords(self, strategy: str) -> Iterator[str]:
         self._guard("keywords")

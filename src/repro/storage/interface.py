@@ -1,15 +1,16 @@
 """Persistent index storage interface (substitute for SQL Server 2000).
 
 The paper's prototype used "Microsoft SQL Server 2000 for the persistent
-storage of indexes". We define a small storage interface with two
-implementations: an in-memory store (fast, test-friendly) and a SQLite
-store (durable, inspectable with any SQLite client). The Index Creation
-Module writes XOnto-DIL posting lists through this interface; the Query
-Module reads them back.
+storage of indexes". We define a small storage interface with three
+backends: an in-memory store (fast, test-friendly), a SQLite store
+(durable, inspectable with any SQLite client) and a read-only mmap
+file. The Index Creation Module writes XOnto-DIL posting lists through
+this interface; the Query Module reads them back.
 
-Postings are stored in their encoded form -- ``(dewey_string, score)``
-pairs, sorted by Dewey ID -- keeping this layer independent of the core
-index structures.
+A posting list crosses this boundary in one form only: a compact XPB1
+block (:mod:`repro.storage.codec`), written as bytes and read back as a
+lazily decoded :class:`~repro.storage.codec.PostingBlock` -- keeping
+this layer independent of the core index structures.
 """
 
 from __future__ import annotations
@@ -18,15 +19,27 @@ import json
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Sequence
 
+from .codec import PostingBlock, encode_postings
 from .errors import (CorruptIndexError, IncompatibleIndexError,
                      StorageError, TransientStorageError)
 
 __all__ = ["CorruptIndexError", "EncodedPosting", "IncompatibleIndexError",
            "IndexStore", "StorageError", "TransientStorageError",
-           "canonical_dump"]
+           "canonical_dump", "open_block"]
 
-#: Encoded posting: (dotted-decimal Dewey ID, node score).
+#: Encoded posting: (dotted-decimal Dewey ID, node score) -- the text
+#: form :meth:`IndexStore.get_postings` renders for dumps and checks.
 EncodedPosting = tuple[str, float]
+
+
+def open_block(data, namespace: str, keyword: str) -> PostingBlock:
+    """Parse a stored block; damage names the list it was read for."""
+    try:
+        return PostingBlock(data)
+    except CorruptIndexError as exc:
+        raise CorruptIndexError(
+            f"stored posting list {namespace}/{keyword!r} is corrupt: "
+            f"{exc}") from exc
 
 
 class IndexStore(ABC):
@@ -41,37 +54,84 @@ class IndexStore(ABC):
     # Posting lists
     # ------------------------------------------------------------------
     @abstractmethod
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
-        """Store the full posting list of a keyword (replacing any)."""
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, bytes | None]]) -> None:
+        """Store many posting lists of one strategy, each an XPB1
+        block holding at least one posting (``None`` deletes the
+        keyword's list).
+
+        Transactional backends land the whole batch under one
+        transaction -- the difference between hundreds and hundreds of
+        thousands of lists per second. Every index writer (builds,
+        segment appends, compaction) writes through here.
+        """
 
     @abstractmethod
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
-        """Posting list of a keyword; empty when the keyword is unknown."""
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
+        """A keyword's posting list, undecoded; ``None`` when absent."""
 
     @abstractmethod
     def keywords(self, strategy: str) -> Iterator[str]:
         """All keywords with stored posting lists for a strategy."""
 
-    @abstractmethod
     def posting_count(self, strategy: str, keyword: str) -> int:
-        """Number of postings without materializing the list."""
+        """Number of postings, read from the block's directory."""
+        block = self.get_posting_block(strategy, keyword)
+        return 0 if block is None else block.posting_count
 
-    def put_postings_many(
-            self, strategy: str,
-            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
-        """Store many posting lists of one strategy.
+    def put_postings(self, strategy: str, keyword: str,
+                     postings: Sequence[EncodedPosting]) -> None:
+        """Store one list given as dotted ``(dewey, score)`` pairs
+        (an empty list deletes). For tests and tools that hold Dewey
+        text; index writers encode blocks themselves."""
+        self.put_postings_many(
+            strategy, [(keyword,
+                        encode_postings(postings) if postings else None)])
 
-        Semantically equivalent to calling :meth:`put_postings` per
-        item; the default does exactly that. Transactional backends
-        override this to land the whole batch under one transaction --
-        the difference between hundreds and hundreds of thousands of
-        lists per second. Every index writer (builds, segment appends,
-        compaction, the OntoScore expansion cache) writes through here.
+    def get_postings(self, strategy: str, keyword: str,
+                     ) -> list[EncodedPosting]:
+        """A keyword's list rendered as dotted ``(dewey, score)``
+        pairs; empty when the keyword is unknown. For dumps, checks
+        and tools -- the query path reads blocks."""
+        block = self.get_posting_block(strategy, keyword)
+        return [] if block is None else block.encoded()
+
+    def posting_namespaces(self) -> list[str]:
+        """Every namespace holding a posting list. Backends that keep
+        their own files answer; decorators and views do not."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not enumerate its namespaces")
+
+    def block_report(self) -> tuple[dict[str, int], int, list[str]]:
+        """Validate every stored posting block's own bytes.
+
+        Returns ``(blocks per namespace, 0, problems)``; the middle
+        slot counted raw records, a list form no backend stores any
+        more. Each block is checked by reading it, which constructs its
+        :class:`PostingBlock` (magic, version, crc32, directory, and on
+        mmap the TOC's posting count). This is the per-block arm of
+        ``verify-index``, complementary to the manifest's per-strategy
+        SHA-256 (which checks *values*; this checks *bytes*, and
+        localizes damage to one keyword).
         """
-        for keyword, postings in items:
-            self.put_postings(strategy, keyword, postings)
+        per_namespace: dict[str, int] = {}
+        problems: list[str] = []
+        for namespace in sorted(self.posting_namespaces()):
+            per_namespace[namespace] = 0
+            for keyword in sorted(self.keywords(namespace)):
+                try:
+                    self.get_posting_block(namespace, keyword)
+                except StorageError as exc:
+                    problems.append(str(exc))
+                else:
+                    per_namespace[namespace] += 1
+        return per_namespace, 0, problems
+
+    def format_description(self) -> str:
+        """One line naming the store's on-disk format."""
+        return type(self).__name__
 
     # ------------------------------------------------------------------
     # Documents

@@ -15,9 +15,10 @@ metadata entries written by the build and checked by
     loaders reject.
 ``manifest.checksum.<strategy>``
     SHA-256 over the canonical JSON form of every posting list of the
-    strategy, computed from exactly the lists the build wrote (the
-    build replaces the whole namespace, see :func:`replace_namespace`)
-    -- truncation or tampering of any list changes it.
+    strategy (dotted Dewey text and score per posting), computed from
+    exactly the lists the build wrote (the build replaces the whole
+    namespace, see :func:`replace_namespace`) -- truncation or
+    tampering of any list changes it.
 ``manifest.corpus_fingerprint``
     SHA-256 over the serialized documents the index was built from.
     Lets the engine refuse an index built from a different corpus, and
@@ -39,10 +40,10 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import CorruptIndexError, StorageError
-from .interface import EncodedPosting, IndexStore
+from .interface import IndexStore
 from .sqlite_store import SQLiteStore
 
 MANIFEST_VERSION_KEY = "manifest.version"
@@ -57,32 +58,50 @@ CHECKSUM_KEY_PREFIX = "manifest.checksum."
 # ----------------------------------------------------------------------
 # Checksums
 # ----------------------------------------------------------------------
-def postings_checksum(
-        lists: Mapping[str, Sequence[EncodedPosting]]) -> str:
+class PostingList(Protocol):
+    """What the manifest reads of a posting list: a
+    :class:`~repro.storage.codec.PostingBlock` or a
+    :class:`~repro.core.index.dil.DeweyInvertedList`."""
+
+    def encoded(self) -> list[tuple[str, float]]:
+        """``(dotted Dewey ID, score)`` pairs in Dewey order."""
+
+    def to_bytes(self) -> bytes:
+        """The list as one XPB1 block."""
+
+
+def postings_checksum(lists: Mapping[str, PostingList]) -> str:
     """SHA-256 over the canonical JSON form of keyword → posting list.
 
-    Keys are sorted and floats use Python's shortest round-trip repr,
-    so two stores hold checksum-equal postings iff the lists are
-    value-identical (same contract as
-    :func:`~repro.storage.interface.canonical_dump`).
+    Each posting is ``[dotted Dewey ID, score]``: a block renders the
+    text from its ``(doc_id, path, score)`` triples, a built list reads
+    its Dewey IDs' memoized text. Keys are sorted and floats use
+    Python's shortest round-trip repr, so two stores hold
+    checksum-equal postings iff the lists are value-identical (same
+    contract as :func:`~repro.storage.interface.canonical_dump`).
     """
-    payload = {keyword: [[dewey, float(score)] for dewey, score in entry]
+    payload = {keyword: [[dewey, float(score)]
+                         for dewey, score in entry.encoded()]
                for keyword, entry in lists.items()}
     encoded = json.dumps(payload, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
 
+def namespace_lists(store: IndexStore,
+                    namespace: str) -> dict[str, PostingList]:
+    """Every posting list of one namespace, as stored blocks."""
+    return {keyword: store.get_posting_block(namespace, keyword)
+            for keyword in store.keywords(namespace)}
+
+
 def store_checksum(store: IndexStore, strategy: str) -> str:
     """Checksum of one strategy's posting lists as the store holds them."""
-    return postings_checksum(
-        {keyword: store.get_postings(strategy, keyword)
-         for keyword in store.keywords(strategy)})
+    return postings_checksum(namespace_lists(store, strategy))
 
 
 def replace_namespace(store: IndexStore, namespace: str,
-                      lists: Mapping[str, Sequence[EncodedPosting]],
-                      ) -> str:
+                      lists: Mapping[str, PostingList]) -> str:
     """Make ``lists`` the whole content of a posting namespace, in one
     ``put_postings_many`` batch (one transaction on SQLite), and return
     their :func:`postings_checksum`.
@@ -90,13 +109,16 @@ def replace_namespace(store: IndexStore, namespace: str,
     Every key already there that ``lists`` does not hold -- the lists
     of an earlier build, orphans of a crashed mutation that targeted the
     same segment id, a dead segment being reclaimed -- is deleted first;
-    then the lists are written in ``lists`` order. ``lists`` must hold
-    no empty list (stores treat one as absent), so the checksum is the
-    one the namespace now reads back as, without reading it back.
+    then the lists are written in ``lists`` order, each as its XPB1
+    block. ``lists`` must hold no empty list (stores treat one as
+    absent), so the checksum is the one the namespace now reads back
+    as, without reading it back.
     """
-    stale = [(keyword, ()) for keyword in list(store.keywords(namespace))
+    stale = [(keyword, None) for keyword in list(store.keywords(namespace))
              if keyword not in lists]
-    store.put_postings_many(namespace, chain(stale, lists.items()))
+    store.put_postings_many(namespace, chain(
+        stale, ((keyword, entry.to_bytes())
+                for keyword, entry in lists.items())))
     return postings_checksum(lists)
 
 
@@ -246,8 +268,13 @@ def verify_manifest(store: IndexStore,
             report.problems.append(
                 f"no checksum recorded for strategy {strategy!r}")
             continue
-        lists = {keyword: store.get_postings(strategy, keyword)
-                 for keyword in store.keywords(strategy)}
+        try:
+            lists = namespace_lists(store, strategy)
+        except StorageError as exc:
+            report.problems.append(
+                f"posting lists of strategy {strategy!r} are "
+                f"unreadable: {exc}")
+            continue
         if postings_checksum(lists) != expected:
             report.problems.append(
                 f"posting-list checksum mismatch for strategy "
@@ -273,8 +300,13 @@ def _verify_segments(store: IndexStore, catalog,
     """The segment-aware arm of :func:`verify_manifest`."""
     from .segments import segment_namespace
     for record in catalog.segments:
-        lists = {keyword: store.get_postings(record.namespace, keyword)
-                 for keyword in store.keywords(record.namespace)}
+        try:
+            lists = namespace_lists(store, record.namespace)
+        except StorageError as exc:
+            report.problems.append(
+                f"posting lists of segment {record.segment_id} "
+                f"({record.namespace!r}) are unreadable: {exc}")
+            continue
         if postings_checksum(lists) != record.checksum:
             report.problems.append(
                 f"posting-list checksum mismatch for segment "

@@ -2,41 +2,42 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .interface import EncodedPosting, IndexStore, StorageError
+from .codec import PostingBlock
+from .interface import IndexStore, StorageError, open_block
 
 
 class MemoryStore(IndexStore):
     """Dictionary-backed store; the default for tests and experiments."""
 
     def __init__(self) -> None:
-        self._postings: dict[tuple[str, str], list[EncodedPosting]] = {}
+        self._postings: dict[tuple[str, str], PostingBlock] = {}
         self._documents: dict[int, str] = {}
         self._metadata: dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
-        # An empty list means "absent", matching the SQLite backend
-        # (whose DELETE + zero INSERTs leaves no rows for the keyword).
-        if not postings:
-            self._postings.pop((strategy, keyword), None)
-            return
-        self._postings[(strategy, keyword)] = [
-            (dewey, float(score)) for dewey, score in postings]
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, bytes | None]]) -> None:
+        for keyword, data in items:
+            if data is None:
+                self._postings.pop((strategy, keyword), None)
+            else:
+                self._postings[(strategy, keyword)] = open_block(
+                    bytes(data), strategy, keyword)
 
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
-        return list(self._postings.get((strategy, keyword), ()))
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
+        return self._postings.get((strategy, keyword))
 
     def keywords(self, strategy: str) -> Iterator[str]:
         for stored_strategy, keyword in self._postings:
             if stored_strategy == strategy:
                 yield keyword
 
-    def posting_count(self, strategy: str, keyword: str) -> int:
-        return len(self._postings.get((strategy, keyword), ()))
+    def posting_namespaces(self) -> list[str]:
+        return sorted({strategy for strategy, _ in self._postings})
 
     # ------------------------------------------------------------------
     def put_document(self, doc_id: int, xml_text: str) -> None:

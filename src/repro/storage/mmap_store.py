@@ -17,12 +17,11 @@ compact posting blocks plus a JSON table of contents at the tail:
   :func:`~repro.storage.manifest.atomic_sqlite_build`.
 
 The byte layout (container header, record region, TOC, 16-byte
-trailer) is normatively specified in ``docs/STORAGE.md``.  Posting
-lists are stored as compact XPB1 blocks (:mod:`repro.storage.codec`)
-when the list satisfies the codec's preconditions, and as canonical
-JSON *raw records* otherwise -- so the store contract (arbitrary
-encoded posting lists round-trip verbatim) holds bit-for-bit and
-``canonical_dump`` equality against the other backends is universal.
+trailer) is normatively specified in ``docs/STORAGE.md``.  Every
+posting list is one compact XPB1 block (:mod:`repro.storage.codec`),
+written as the writer was given it; a file holding any other record
+kind (the retired raw JSON records) is refused with
+:class:`IncompatibleIndexError`.
 
 Writes go through :class:`MmapStoreWriter` (an in-memory store that
 serializes everything on :meth:`~MmapStoreWriter.finalize`) or the
@@ -37,12 +36,12 @@ import mmap
 import os
 import struct
 import zlib
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .codec import PostingBlock, UnencodablePostings, encode_postings
+from .codec import FORMAT_VERSION, PostingBlock
 from .errors import (CorruptIndexError, IncompatibleIndexError,
                      StorageError)
-from .interface import EncodedPosting, IndexStore
+from .interface import IndexStore, open_block
 from .memory_store import MemoryStore
 
 #: Leading bytes of every mmap store file ("XOnto Mmap Store").
@@ -57,9 +56,8 @@ CONTAINER_VERSION = 1
 _FILE_HEADER = struct.Struct("<4sI")      # magic | container version
 _TRAILER = struct.Struct("<QI4s")         # toc offset | toc crc32 | magic
 
-#: TOC record kinds for posting lists.
+#: TOC record kind of a posting list (an XPB1 block; the only kind).
 KIND_BLOCK = "xpb"
-KIND_RAW = "raw"
 
 
 def _null_tracer():
@@ -160,7 +158,14 @@ class MmapStore(IndexStore):
         data_end = size - _TRAILER.size
         for lists in postings.values():
             for offset, length, _, kind in lists.values():
-                if kind not in (KIND_BLOCK, KIND_RAW):
+                if kind == "raw":
+                    raise IncompatibleIndexError(
+                        f"mmap store {self.path!r} holds raw posting "
+                        f"records, a form this build no longer reads; "
+                        f"rebuild it with `python -m repro index "
+                        f"--data DATA --store {self.path} "
+                        f"--store-format mmap`")
+                if kind != KIND_BLOCK:
                     raise CorruptIndexError(
                         f"unknown posting record kind {kind!r}")
                 if not 0 <= offset <= offset + length <= data_end:
@@ -187,47 +192,29 @@ class MmapStore(IndexStore):
 
     # -- posting lists --------------------------------------------------
 
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, bytes | None]]) -> None:
         raise self._read_only()
-
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
-        self._require_open()
-        entry = self._postings.get(strategy, {}).get(keyword)
-        if entry is None:
-            return []
-        with self.tracer.span("storage.mmap.read",
-                              keyword=keyword) as span:
-            rows = self._decode_entry(entry)
-            span.annotate(rows=len(rows))
-            return rows
-
-    def _decode_entry(self, entry) -> list[EncodedPosting]:
-        offset, length, _, kind = entry
-        record = self._view[offset:offset + length]
-        if kind == KIND_BLOCK:
-            return PostingBlock(record).encoded()
-        try:
-            return [(dewey, float(score))
-                    for dewey, score in json.loads(
-                        bytes(record).decode("utf-8"))]
-        except (TypeError, ValueError, UnicodeDecodeError) as exc:
-            raise CorruptIndexError(
-                f"malformed raw posting record: {exc}") from exc
 
     def get_posting_block(self, strategy: str, keyword: str,
                           ) -> PostingBlock | None:
         """The compact block of a keyword, *undecoded* -- a zero-copy
         ``memoryview`` slice of the mapping.  ``None`` when the keyword
-        is absent or stored as a raw record (callers fall back to
-        :meth:`get_postings`)."""
+        is absent."""
         self._require_open()
         entry = self._postings.get(strategy, {}).get(keyword)
-        if entry is None or entry[3] != KIND_BLOCK:
+        if entry is None:
             return None
-        offset, length, _, _ = entry
-        return PostingBlock(self._view[offset:offset + length])
+        offset, length, count, _ = entry
+        block = open_block(self._view[offset:offset + length], strategy,
+                           keyword)
+        if block.posting_count != count:
+            raise CorruptIndexError(
+                f"stored posting list {strategy}/{keyword!r} is corrupt: "
+                f"the TOC posting count disagrees with the block "
+                f"directory")
+        return block
 
     def keywords(self, strategy: str) -> Iterator[str]:
         self._require_open()
@@ -237,6 +224,14 @@ class MmapStore(IndexStore):
         self._require_open()
         entry = self._postings.get(strategy, {}).get(keyword)
         return 0 if entry is None else entry[2]
+
+    def posting_namespaces(self) -> list[str]:
+        self._require_open()
+        return sorted(self._postings)
+
+    def format_description(self) -> str:
+        return (f"mmap store (container v{CONTAINER_VERSION}, compact "
+                f"posting blocks v{FORMAT_VERSION})")
 
     # -- documents ------------------------------------------------------
 
@@ -271,44 +266,6 @@ class MmapStore(IndexStore):
     def metadata_keys(self) -> Iterator[str]:
         self._require_open()
         return iter(sorted(self._metadata))
-
-    # -- verification ---------------------------------------------------
-
-    def block_report(self) -> tuple[dict[str, int], int, list[str]]:
-        """Validate every posting record's own checksum.
-
-        Returns ``(blocks per strategy, raw record count, problems)``.
-        A compact block is checked by constructing its
-        :class:`PostingBlock` (magic, version, crc32, directory); a raw
-        record must parse as canonical JSON.  This is the per-block arm
-        of ``verify-index``, complementary to the manifest's
-        per-strategy SHA-256 (which checks *values*; this checks
-        *bytes*, and localizes damage to one keyword).
-        """
-        self._require_open()
-        per_strategy: dict[str, int] = {}
-        raw = 0
-        problems: list[str] = []
-        for strategy in sorted(self._postings):
-            per_strategy[strategy] = 0
-            for keyword in sorted(self._postings[strategy]):
-                entry = self._postings[strategy][keyword]
-                try:
-                    if entry[3] == KIND_BLOCK:
-                        block = PostingBlock(
-                            self._view[entry[0]:entry[0] + entry[1]])
-                        if block.posting_count != entry[2]:
-                            raise CorruptIndexError(
-                                "TOC posting count disagrees with "
-                                "the block directory")
-                        per_strategy[strategy] += 1
-                    else:
-                        self._decode_entry(entry)
-                        raw += 1
-                except StorageError as exc:
-                    problems.append(
-                        f"posting record {strategy}/{keyword!r}: {exc}")
-        return per_strategy, raw, problems
 
     # -- lifecycle ------------------------------------------------------
 
@@ -354,21 +311,18 @@ class MmapStoreWriter(MemoryStore):
         if self._finalized:
             return
         with self.tracer.span("storage.mmap.write") as span:
-            blocks, raw, size = _write_file(
-                self.path, self._postings, self._documents,
-                self._metadata)
-            span.annotate(blocks=blocks, raw_records=raw, bytes=size)
+            size = _write_file(self.path, self._postings,
+                               self._documents, self._metadata)
+            span.annotate(blocks=len(self._postings), bytes=size)
         self._finalized = True
 
     def close(self) -> None:
         self.finalize()
 
 
-def _write_file(path: str, postings, documents, metadata,
-                ) -> tuple[int, int, int]:
-    """Serialize one XMS1 file; returns (blocks, raw records, bytes)."""
+def _write_file(path: str, postings, documents, metadata) -> int:
+    """Serialize one XMS1 file; returns its size in bytes."""
     temp_path = path + ".building"
-    blocks = raw = 0
     try:
         with open(temp_path, "wb") as handle:
             handle.write(_FILE_HEADER.pack(FILE_MAGIC,
@@ -376,22 +330,11 @@ def _write_file(path: str, postings, documents, metadata,
             offset = _FILE_HEADER.size
             toc_postings: dict[str, dict[str, list]] = {}
             for strategy, keyword in sorted(postings):
-                encoded = postings[(strategy, keyword)]
-                try:
-                    record = encode_postings(encoded)
-                    kind = KIND_BLOCK
-                    blocks += 1
-                except UnencodablePostings:
-                    record = json.dumps(
-                        [[dewey, float(score)]
-                         for dewey, score in encoded],
-                        sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
-                    kind = KIND_RAW
-                    raw += 1
+                block = postings[(strategy, keyword)]
+                record = block.to_bytes()
                 handle.write(record)
                 toc_postings.setdefault(strategy, {})[keyword] = [
-                    offset, len(record), len(encoded), kind]
+                    offset, len(record), block.posting_count, KIND_BLOCK]
                 offset += len(record)
             toc_documents: dict[str, list] = {}
             for doc_id in sorted(documents):
@@ -415,7 +358,7 @@ def _write_file(path: str, postings, documents, metadata,
             os.remove(temp_path)
         raise
     os.replace(temp_path, path)
-    return blocks, raw, size
+    return size
 
 
 @contextlib.contextmanager
@@ -443,10 +386,11 @@ def write_mmap_store(path: str, store: IndexStore,
     """Convert any store's contents into an XMS1 file at ``path``."""
     with atomic_mmap_build(path, tracer=tracer) as writer:
         for strategy in strategies:
-            for keyword in store.keywords(strategy):
-                writer.put_postings(strategy, keyword,
-                                    store.get_postings(strategy,
-                                                       keyword))
+            writer.put_postings_many(
+                strategy,
+                ((keyword,
+                  store.get_posting_block(strategy, keyword).to_bytes())
+                 for keyword in store.keywords(strategy)))
         for doc_id in store.document_ids():
             writer.put_document(doc_id, store.get_document(doc_id))
         for key in store.metadata_keys():

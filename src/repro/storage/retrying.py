@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..core.deadline import current_deadline
 from ..core.obs.tracer import NULL_TRACER
 from ..core.stats import (RETRY_ATTEMPTS, RETRY_BUDGET_EXHAUSTED,
                           RETRY_GIVEUPS, RETRY_RECOVERIES, StatsRegistry)
+from .codec import PostingBlock
 from .errors import TransientStorageError
-from .interface import EncodedPosting, IndexStore
+from .interface import IndexStore
 
 Result = TypeVar("Result")
 
@@ -134,27 +135,22 @@ class RetryingStore(IndexStore):
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
-        self._retry(lambda: self._inner.put_postings(strategy, keyword,
-                                                     postings))
-
     def put_postings_many(
             self, strategy: str,
-            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
+            items: Iterable[tuple[str, bytes | None]]) -> None:
         # One retried call for the whole batch, so the inner store still
         # lands it as one transaction; materialized so a retry replays
         # every item, not what an exhausted generator has left.
         batch = list(items)
         self._retry(lambda: self._inner.put_postings_many(strategy, batch))
 
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
         # The span covers every attempt and each backoff sleep, so the
         # profile shows what a flaky backend really costs the caller.
         with self.tracer.span("storage.read", keyword=keyword):
             return self._retry(
-                lambda: self._inner.get_postings(strategy, keyword))
+                lambda: self._inner.get_posting_block(strategy, keyword))
 
     def keywords(self, strategy: str) -> Iterator[str]:
         # Materialized under retry: a generator could fault mid-stream,

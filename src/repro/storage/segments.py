@@ -16,21 +16,25 @@ The *logical* index -- what queries, checksums and
 :func:`~repro.storage.interface.canonical_dump` see -- is the
 newest-wins merge of the live segments with tombstoned documents
 masked, presented by :class:`SegmentView` under the plain strategy
-name. Two stores hold the same logical index iff their dumps are
-byte-identical, whether they were grown segment by segment or built
-from scratch: the incremental-vs-rebuild differential contract.
+name. The merge works on whole document runs: each live document's
+run is copied, bytes and directory entry, from the newest segment whose
+block holds the document (:func:`~repro.storage.codec.splice_runs`),
+and no posting is decoded. Re-adding a document requires identical
+content, so this equals a newest-wins merge per Dewey ID. Two stores
+hold the same logical index iff their dumps are byte-identical,
+whether they were grown segment by segment or built from scratch: the
+incremental-vs-rebuild differential contract.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from ..xmldoc.dewey import DeweyID
+from .codec import PostingBlock, splice_runs
 from .errors import CorruptIndexError, StorageError
-from .interface import EncodedPosting, IndexStore
+from .interface import IndexStore
 from .manifest import (CHECKSUM_KEY_PREFIX, CORPUS_FINGERPRINT_KEY,
                        corpus_fingerprint, postings_checksum)
 
@@ -154,46 +158,37 @@ def save_catalog(store: IndexStore, catalog: SegmentCatalog) -> None:
 
 
 # ----------------------------------------------------------------------
-# Newest-wins posting merge
+# Newest-wins run merge
 # ----------------------------------------------------------------------
-def _keyed_postings(rows: Sequence[EncodedPosting], segment_id: int,
-                    ) -> Iterator[tuple[DeweyID, int, str, float]]:
-    """Sort keys for one segment's already-dewey-sorted posting list.
-
-    The second component prefers the *newest* segment when two segments
-    hold the same Dewey ID (a re-added document), matching LSM
-    semantics: the most recent write wins.
-    """
-    for dewey, score in rows:
-        yield (DeweyID.parse(dewey), -segment_id, dewey, float(score))
-
-
-def merged_postings(store: IndexStore, catalog: SegmentCatalog,
-                    keyword: str) -> list[EncodedPosting]:
-    """One keyword's logical posting list: live segments streamed
-    through ``heapq.merge``, duplicates resolved newest-wins, and
-    tombstoned documents masked."""
-    streams = []
-    for record in catalog.segments:
-        rows = store.get_postings(record.namespace, keyword)
-        if rows:
-            streams.append(_keyed_postings(rows, record.segment_id))
+def merged_block(store: IndexStore, catalog: SegmentCatalog,
+                 keyword: str) -> PostingBlock | None:
+    """One keyword's logical posting list: each live document's run
+    taken from the newest segment holding it, tombstoned documents
+    masked. ``None`` when no live document has a posting."""
     live = catalog.live_set
-    merged: list[EncodedPosting] = []
-    previous: DeweyID | None = None
-    for parsed, _, dewey, score in heapq.merge(*streams):
-        if parsed == previous:
-            continue  # an older segment's copy of a re-added document
-        previous = parsed
-        if parsed.doc_id in live:
-            merged.append((dewey, score))
-    return merged
+    blocks = []
+    chosen: dict[int, tuple[PostingBlock, int]] = {}
+    for record in reversed(catalog.segments):  # newest first
+        block = store.get_posting_block(record.namespace, keyword)
+        if block is None:
+            continue
+        blocks.append(block)
+        for index, doc_id in enumerate(block.doc_ids()):
+            if doc_id in live and doc_id not in chosen:
+                chosen[doc_id] = (block, index)
+    if not chosen:
+        return None
+    if len(blocks) == 1 and len(chosen) == blocks[0].doc_count:
+        return blocks[0]  # one segment, nothing masked: as stored
+    return PostingBlock(splice_runs(chosen[doc_id]
+                                    for doc_id in sorted(chosen)))
 
 
 def merged_keywords(store: IndexStore,
                     catalog: SegmentCatalog) -> list[str]:
-    """Sorted union of the keywords held by any live segment (some may
-    merge to an empty, hence absent, logical list)."""
+    """Sorted union of the keywords held by any live segment (with
+    tombstones, some may merge to an empty, hence absent, logical
+    list)."""
     keywords: set[str] = set()
     for record in catalog.segments:
         keywords.update(store.keywords(record.namespace))
@@ -201,13 +196,13 @@ def merged_keywords(store: IndexStore,
 
 
 def merged_lists(store: IndexStore, catalog: SegmentCatalog,
-                 ) -> dict[str, list[EncodedPosting]]:
+                 ) -> dict[str, PostingBlock]:
     """Every non-empty logical posting list, keyed by keyword."""
-    lists: dict[str, list[EncodedPosting]] = {}
+    lists: dict[str, PostingBlock] = {}
     for keyword in merged_keywords(store, catalog):
-        rows = merged_postings(store, catalog, keyword)
-        if rows:
-            lists[keyword] = rows
+        block = merged_block(store, catalog, keyword)
+        if block is not None:
+            lists[keyword] = block
     return lists
 
 
@@ -242,26 +237,31 @@ class SegmentView(IndexStore):
             "lifecycle (add_documents / remove_documents / compact)")
 
     # ------------------------------------------------------------------
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
+    def put_postings_many(
+            self, strategy: str,
+            items: Iterable[tuple[str, bytes | None]]) -> None:
         raise self._read_only()
 
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
         if strategy == self.catalog.strategy:
-            return merged_postings(self._inner, self.catalog, keyword)
-        return self._inner.get_postings(strategy, keyword)
+            return merged_block(self._inner, self.catalog, keyword)
+        return self._inner.get_posting_block(strategy, keyword)
 
     def keywords(self, strategy: str) -> Iterator[str]:
         if strategy != self.catalog.strategy:
             yield from self._inner.keywords(strategy)
             return
-        for keyword in merged_keywords(self._inner, self.catalog):
-            if merged_postings(self._inner, self.catalog, keyword):
+        keywords = merged_keywords(self._inner, self.catalog)
+        if not self.catalog.tombstone_count:
+            # Every held document is live and stores hold no empty
+            # list, so every held keyword has a live posting.
+            yield from keywords
+            return
+        for keyword in keywords:
+            if merged_block(self._inner, self.catalog,
+                            keyword) is not None:
                 yield keyword
-
-    def posting_count(self, strategy: str, keyword: str) -> int:
-        return len(self.get_postings(strategy, keyword))
 
     # ------------------------------------------------------------------
     def put_document(self, doc_id: int, xml_text: str) -> None:

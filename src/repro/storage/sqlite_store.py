@@ -1,9 +1,12 @@
 """SQLite-backed :class:`IndexStore` implementation.
 
 The durable counterpart of :class:`~repro.storage.memory_store.MemoryStore`
-and the stand-in for the paper's SQL Server deployment. Posting lists are
-stored row-per-posting with a composite primary key so partial scans and
-counts stay in the database. Every write call is one transaction: a
+and the stand-in for the paper's SQL Server deployment. Each posting list
+is one row: its ``(strategy, keyword)`` key and its XPB1 block as a BLOB
+(schema v2, recorded in ``PRAGMA user_version``; the normative layout is
+in ``docs/STORAGE.md``). A file of another schema version -- such as the
+v1 row-per-posting layout -- is refused at open with
+:class:`IncompatibleIndexError`. Every write call is one transaction: a
 :meth:`~SQLiteStore.put_postings_many`,
 :meth:`~SQLiteStore.put_documents_many` or
 :meth:`~SQLiteStore.put_metadata_many` batch commits (and fsyncs) once,
@@ -34,20 +37,23 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import (CorruptIndexError, StorageError,
-                     TransientStorageError)
-from .interface import EncodedPosting, IndexStore
+from .codec import FORMAT_VERSION, PostingBlock
+from .errors import (CorruptIndexError, IncompatibleIndexError,
+                     StorageError, TransientStorageError)
+from .interface import IndexStore, open_block
+
+#: ``PRAGMA user_version`` of the current layout. Version 1 (never
+#: recorded, so it reads as 0) kept one row per posting.
+SCHEMA_VERSION = 2
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS postings (
+CREATE TABLE IF NOT EXISTS posting_blocks (
     strategy  TEXT NOT NULL,
     keyword   TEXT NOT NULL,
-    position  INTEGER NOT NULL,
-    dewey     TEXT NOT NULL,
-    score     REAL NOT NULL,
-    PRIMARY KEY (strategy, keyword, position)
+    block     BLOB NOT NULL,
+    PRIMARY KEY (strategy, keyword)
 );
 CREATE TABLE IF NOT EXISTS documents (
     doc_id    INTEGER PRIMARY KEY,
@@ -59,7 +65,7 @@ CREATE TABLE IF NOT EXISTS metadata (
 );
 """
 
-_TABLES = frozenset({"postings", "documents", "metadata"})
+_TABLES = frozenset({"posting_blocks", "documents", "metadata"})
 
 #: ``sqlite3.OperationalError`` messages that mark a retryable fault.
 _TRANSIENT_MARKERS = ("locked", "busy")
@@ -162,16 +168,28 @@ class SQLiteStore(IndexStore):
         """
         try:
             self._connection.execute("PRAGMA schema_version").fetchone()
+            tables = {name for (name,) in self._connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            (version,) = self._connection.execute(
+                "PRAGMA user_version").fetchone()
+            if version != SCHEMA_VERSION and (version
+                                              or "postings" in tables):
+                raise IncompatibleIndexError(
+                    f"{self._path}: index store schema v{version or 1} "
+                    f"is not supported (this build reads "
+                    f"v{SCHEMA_VERSION}: one XPB1 block per posting "
+                    f"list); rebuild it with `python -m repro index "
+                    f"--data DATA --store {self._path}`")
             if read_only:
-                rows = self._connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'")
-                missing = _TABLES - {name for (name,) in rows}
+                missing = _TABLES - tables
                 if missing:
                     raise CorruptIndexError(
                         f"{self._path}: not an index store "
                         f"(missing tables: {', '.join(sorted(missing))})")
-            else:
+            elif version != SCHEMA_VERSION:  # a new file
                 self._connection.executescript(_SCHEMA)
+                self._connection.execute(
+                    f"PRAGMA user_version = {SCHEMA_VERSION}")
                 self._connection.commit()
         except sqlite3.Error as exc:
             self._connection.close()
@@ -191,61 +209,56 @@ class SQLiteStore(IndexStore):
                 raise translate_sqlite_error(exc, self._path) from exc
 
     # ------------------------------------------------------------------
-    def put_postings(self, strategy: str, keyword: str,
-                     postings: Sequence[EncodedPosting]) -> None:
-        self._write_postings(strategy, ((keyword, postings),))
-
     def put_postings_many(
             self, strategy: str,
-            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
-        self._write_postings(strategy, items)
-
-    def _write_postings(
-            self, strategy: str,
-            items: Iterable[tuple[str, Sequence[EncodedPosting]]]) -> None:
+            items: Iterable[tuple[str, bytes | None]]) -> None:
         # One transaction for the whole batch: per-list transactions
         # commit (fsync) each list and cap throughput at a few hundred
         # lists per second.
         with self._guarded(), self._connection:
-            for keyword, postings in items:
-                self._connection.execute(
-                    "DELETE FROM postings "
-                    "WHERE strategy = ? AND keyword = ?",
-                    (strategy, keyword))
-                self._connection.executemany(
-                    "INSERT INTO postings "
-                    "(strategy, keyword, position, dewey, score) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    ((strategy, keyword, position, dewey, float(score))
-                     for position, (dewey, score) in enumerate(postings)))
+            for keyword, data in items:
+                if data is None:
+                    self._connection.execute(
+                        "DELETE FROM posting_blocks "
+                        "WHERE strategy = ? AND keyword = ?",
+                        (strategy, keyword))
+                else:
+                    self._connection.execute(
+                        "INSERT OR REPLACE INTO posting_blocks "
+                        "(strategy, keyword, block) VALUES (?, ?, ?)",
+                        (strategy, keyword, data))
 
-    def get_postings(self, strategy: str, keyword: str,
-                     ) -> list[EncodedPosting]:
+    def get_posting_block(self, strategy: str, keyword: str,
+                          ) -> PostingBlock | None:
         with self.tracer.span("storage.sqlite.read",
                               keyword=keyword) as span:
             with self._guarded():
-                rows = self._connection.execute(
-                    "SELECT dewey, score FROM postings "
-                    "WHERE strategy = ? AND keyword = ? ORDER BY position",
-                    (strategy, keyword)).fetchall()
-            span.annotate(rows=len(rows))
-        return [(dewey, score) for dewey, score in rows]
+                row = self._connection.execute(
+                    "SELECT block FROM posting_blocks "
+                    "WHERE strategy = ? AND keyword = ?",
+                    (strategy, keyword)).fetchone()
+            if row is None:
+                return None
+            span.annotate(bytes=len(row[0]))
+            return open_block(row[0], strategy, keyword)
 
     def keywords(self, strategy: str) -> Iterator[str]:
         with self._guarded():
             rows = self._connection.execute(
-                "SELECT DISTINCT keyword FROM postings WHERE strategy = ?",
+                "SELECT keyword FROM posting_blocks WHERE strategy = ?",
                 (strategy,)).fetchall()
         for (keyword,) in rows:
             yield keyword
 
-    def posting_count(self, strategy: str, keyword: str) -> int:
+    def posting_namespaces(self) -> list[str]:
         with self._guarded():
-            row = self._connection.execute(
-                "SELECT COUNT(*) FROM postings "
-                "WHERE strategy = ? AND keyword = ?",
-                (strategy, keyword)).fetchone()
-        return int(row[0])
+            rows = self._connection.execute(
+                "SELECT DISTINCT strategy FROM posting_blocks").fetchall()
+        return sorted(strategy for (strategy,) in rows)
+
+    def format_description(self) -> str:
+        return (f"sqlite store (schema v{SCHEMA_VERSION}, compact "
+                f"posting blocks v{FORMAT_VERSION})")
 
     # ------------------------------------------------------------------
     def put_document(self, doc_id: int, xml_text: str) -> None:

@@ -305,13 +305,13 @@ def test_index_assembles_what_it_writes_and_reads_nothing_back(
     writes it, and the manifest checksum is taken from the written
     lists rather than read back from the store."""
     reads: Counter = Counter()
-    get_postings = SQLiteStore.get_postings
+    get_posting_block = SQLiteStore.get_posting_block
 
     def counted(self, *args, **kwargs):
         reads["lists"] += 1
-        return get_postings(self, *args, **kwargs)
+        return get_posting_block(self, *args, **kwargs)
 
-    monkeypatch.setattr(SQLiteStore, "get_postings", counted)
+    monkeypatch.setattr(SQLiteStore, "get_posting_block", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["index", "--data", data_dir, "--store",
                          str(tmp_path / "index.db"),

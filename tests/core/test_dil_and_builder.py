@@ -17,6 +17,7 @@ from repro.core.scoring import ElementIndex
 from repro.cda.sample import build_figure1_document
 from repro.ir.tokenizer import Keyword
 from repro.ontology import TerminologyService
+from repro.storage.codec import PostingBlock
 from repro.ontology.snomed import (ASTHMA, BRONCHIAL_STRUCTURE,
                                    build_core_ontology)
 from repro.xmldoc.dewey import DeweyID
@@ -55,8 +56,10 @@ class TestDIL:
     def test_encoded_roundtrip(self):
         keyword = Keyword.from_text("x")
         dil = DeweyInvertedList(keyword, [Posting(DeweyID(3, (1, 2)), 0.25)])
-        clone = DeweyInvertedList.from_encoded(keyword, dil.encoded())
+        clone = DeweyInvertedList.from_block(
+            keyword, PostingBlock(dil.to_bytes()))
         assert clone.postings() == dil.postings()
+        assert clone.encoded() == dil.encoded() == [("3.1.2", 0.25)]
 
     def test_size_accounting(self):
         posting = Posting(DeweyID(0, (1, 2)), 0.5)

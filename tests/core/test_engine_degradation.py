@@ -121,10 +121,10 @@ class TestDegradedLoads:
         store, results = baseline
 
         class DeadKeywordStore(FaultInjectingStore):
-            def get_postings(self, strategy, keyword):
+            def get_posting_block(self, strategy, keyword):
                 if keyword == "medications":
                     raise TransientStorageError("always down")
-                return super().get_postings(strategy, keyword)
+                return super().get_posting_block(strategy, keyword)
 
         engine = fresh_engine(corpus, core_ontology)
         reader = RetryingStore(DeadKeywordStore(store), max_attempts=3,
@@ -142,7 +142,7 @@ class TestDegradedLoads:
         store, _ = baseline
 
         class DeadStore(FaultInjectingStore):
-            def get_postings(self, strategy, keyword):
+            def get_posting_block(self, strategy, keyword):
                 raise TransientStorageError("always down")
 
         engine = fresh_engine(corpus, core_ontology)
@@ -193,7 +193,7 @@ class TestFaultedSearchIdentity:
 
 
 class DeadStore(FaultInjectingStore):
-    def get_postings(self, strategy, keyword):
+    def get_posting_block(self, strategy, keyword):
         raise TransientStorageError("always down")
 
 
@@ -201,7 +201,7 @@ class DeadStore(FaultInjectingStore):
 FAULTS = {
     "transient": (lambda store: FaultInjectingStore(
         store, seed=11, transient_rate=0.999,
-        operations={"get_postings"}), len(VOCABULARY)),
+        operations={"get_posting_block"}), len(VOCABULARY)),
     "corrupt": (lambda store: FaultInjectingStore(
         store, corrupt_keywords={"asthma"}), 1),
     "dead": (DeadStore, len(VOCABULARY)),

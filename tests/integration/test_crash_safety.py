@@ -137,7 +137,7 @@ method = sys.argv[1]
 original = getattr(SQLiteStore, method)
 def killed_inside(self, *args, **kwargs):
     self._connection.set_progress_handler(
-        lambda: os.kill(os.getpid(), signal.SIGKILL), 10000)
+        lambda: os.kill(os.getpid(), signal.SIGKILL), 100)
     return original(self, *args, **kwargs)
 setattr(SQLiteStore, method, killed_inside)
 sys.exit(main(sys.argv[2:]))

@@ -48,9 +48,9 @@ class ToggleFaultStore(IndexStore):
                 self.faulted_reads += 1
             raise TransientStorageError("injected: shard store down")
 
-    def get_postings(self, strategy, keyword):
+    def get_posting_block(self, strategy, keyword):
         self._guard()
-        return self._inner.get_postings(strategy, keyword)
+        return self._inner.get_posting_block(strategy, keyword)
 
     def keywords(self, strategy):
         self._guard()
@@ -60,8 +60,8 @@ class ToggleFaultStore(IndexStore):
         self._guard()
         return self._inner.posting_count(strategy, keyword)
 
-    def put_postings(self, strategy, keyword, postings):
-        self._inner.put_postings(strategy, keyword, postings)
+    def put_postings_many(self, strategy, items):
+        self._inner.put_postings_many(strategy, items)
 
     def put_document(self, doc_id, xml_text):
         self._inner.put_document(doc_id, xml_text)

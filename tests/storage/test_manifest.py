@@ -8,6 +8,7 @@ import pytest
 from repro import RELATIONSHIPS, XOntoRankEngine
 from repro.cda.sample import build_figure1_document
 from repro.ontology.snomed import build_core_ontology
+from repro.storage.codec import PostingBlock, encode_postings
 from repro.storage.errors import CorruptIndexError, StorageError
 from repro.storage.faults import FaultInjectingStore
 from repro.storage.manifest import (BUILD_COMPLETE_KEY,
@@ -51,11 +52,14 @@ def store(request, tmp_path, corpus_and_ontology):
 
 class TestChecksums:
     def test_checksum_is_content_addressed(self):
-        lists = {"a": [("0.1", 0.5)], "b": [("0.2", 1.0)]}
+        def block(postings):
+            return PostingBlock(encode_postings(postings))
+
+        lists = {"a": block([("0.1", 0.5)]), "b": block([("0.2", 1.0)])}
         assert postings_checksum(lists) == postings_checksum(dict(
             reversed(list(lists.items()))))
         assert postings_checksum(lists) != postings_checksum(
-            {"a": [("0.1", 0.5)]})
+            {"a": block([("0.1", 0.5)])})
 
     def test_store_checksum_backend_independent(self, tmp_path,
                                                 corpus_and_ontology):

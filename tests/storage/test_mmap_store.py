@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from repro.storage.codec import PostingBlock
+from repro.storage.codec import PostingBlock, UnencodablePostings
 from repro.storage.errors import (CorruptIndexError,
                                   IncompatibleIndexError, StorageError)
 from repro.storage.mmap_store import (CONTAINER_VERSION, FILE_MAGIC,
@@ -28,7 +28,6 @@ def store_path(tmp_path):
     path = str(tmp_path / "index.mm")
     with atomic_mmap_build(path) as writer:
         writer.put_postings("xrank", "diabetes", POSTINGS)
-        writer.put_postings("xrank", "unsorted", list(reversed(POSTINGS)))
         writer.put_document(0, DOC)
         writer.put_document(7, "<other/>")
         writer.put_metadata("built_by", "test")
@@ -46,12 +45,14 @@ class TestContract:
     def test_postings_round_trip(self, store):
         assert store.get_postings("xrank", "diabetes") == POSTINGS
 
-    def test_raw_fallback_preserves_unsorted_lists(self, store):
-        # Lists the codec cannot pack must still round-trip verbatim:
-        # they are stored as raw JSON records instead of XPB1 blocks.
-        assert store.get_postings("xrank", "unsorted") \
-            == list(reversed(POSTINGS))
-        assert store.get_posting_block("xrank", "unsorted") is None
+    def test_unsorted_list_rejected_at_write(self, tmp_path):
+        # Every list is an XPB1 block, so one the codec cannot pack is
+        # refused when it is written, not stored in another form.
+        with pytest.raises(UnencodablePostings):
+            with atomic_mmap_build(str(tmp_path / "bad.mm")) as writer:
+                writer.put_postings("xrank", "unsorted",
+                                    list(reversed(POSTINGS)))
+        assert not (tmp_path / "bad.mm").exists()
 
     def test_missing_keyword_is_empty(self, store):
         assert store.get_postings("xrank", "absent") == []
@@ -62,7 +63,7 @@ class TestContract:
         assert store.posting_count("xrank", "absent") == 0
 
     def test_keywords(self, store):
-        assert sorted(store.keywords("xrank")) == ["diabetes", "unsorted"]
+        assert sorted(store.keywords("xrank")) == ["diabetes"]
         assert list(store.keywords("other")) == []
 
     def test_documents(self, store):
@@ -179,7 +180,7 @@ class TestCorruption:
         bad = MmapStore(str(bad_path))
         try:
             per_strategy, raw, problems = bad.block_report()
-            assert raw == 1  # the unsorted raw record is untouched
+            assert raw == 0
             assert len(problems) == 1
             assert "diabetes" in problems[0]
         finally:
@@ -188,8 +189,25 @@ class TestCorruption:
     def test_clean_store_reports_no_problems(self, store):
         per_strategy, raw, problems = store.block_report()
         assert per_strategy == {"xrank": 1}
-        assert raw == 1
+        assert raw == 0
         assert problems == []
+
+    def test_raw_record_file_is_incompatible(self, store_path, tmp_path):
+        # A file holding a retired raw JSON record kind is refused at
+        # open with the rebuild command, not misread.
+        data = open(store_path, "rb").read()
+        toc_offset, _, _ = struct.unpack("<QI4s", data[-16:])
+        toc = json.loads(data[toc_offset:-16])
+        toc["postings"]["xrank"]["diabetes"][3] = "raw"
+        encoded = json.dumps(toc, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
+        old = tmp_path / "raw.mm"
+        old.write_bytes(data[:toc_offset] + encoded + struct.pack(
+            "<QI4s", toc_offset, zlib.crc32(encoded) & 0xFFFFFFFF,
+            TRAILER_MAGIC))
+        with pytest.raises(IncompatibleIndexError,
+                           match="python -m repro index"):
+            MmapStore(str(old))
 
     def test_not_an_mmap_file(self, tmp_path):
         bogus = tmp_path / "bogus.mm"

@@ -3,13 +3,15 @@ decorator it is tested against."""
 
 import pytest
 
-from repro.core.stats import (FAULTS_CRASHES, FAULTS_LATENCY,
-                              FAULTS_TRANSIENT, RETRY_ATTEMPTS,
-                              RETRY_BUDGET_EXHAUSTED, RETRY_GIVEUPS,
-                              RETRY_RECOVERIES, StatsRegistry)
+from repro.core.stats import (FAULTS_CORRUPTION, FAULTS_CRASHES,
+                              FAULTS_LATENCY, FAULTS_TRANSIENT,
+                              RETRY_ATTEMPTS, RETRY_BUDGET_EXHAUSTED,
+                              RETRY_GIVEUPS, RETRY_RECOVERIES,
+                              StatsRegistry)
 from repro.storage.errors import (CorruptIndexError, StorageError,
                                   TransientStorageError)
-from repro.storage.faults import CORRUPT_DEWEY, FaultInjectingStore
+from repro.storage.codec import encode_postings
+from repro.storage.faults import FaultInjectingStore
 from repro.storage.memory_store import MemoryStore
 from repro.storage.retrying import RetryingStore
 from repro.storage.sqlite_store import SQLiteStore
@@ -25,12 +27,12 @@ class FlakyStore(MemoryStore):
         self.remaining = failures
         self.calls = 0
 
-    def get_postings(self, strategy, keyword):
+    def get_posting_block(self, strategy, keyword):
         self.calls += 1
         if self.remaining > 0:
             self.remaining -= 1
             raise TransientStorageError("flaky")
-        return super().get_postings(strategy, keyword)
+        return super().get_posting_block(strategy, keyword)
 
 
 def seeded_inner(**kwargs) -> FaultInjectingStore:
@@ -92,7 +94,7 @@ class TestRetryingStore:
 
     def test_non_transient_errors_not_retried(self):
         class BrokenStore(MemoryStore):
-            def get_postings(self, strategy, keyword):
+            def get_posting_block(self, strategy, keyword):
                 raise CorruptIndexError("damaged")
 
         stats = StatsRegistry()
@@ -174,9 +176,9 @@ class TestRetryTimeBudget:
         clock = ManualClock()
 
         class SlowFlaky(FlakyStore):
-            def get_postings(self, strategy, keyword):
+            def get_posting_block(self, strategy, keyword):
                 clock.now += 0.2
-                return super().get_postings(strategy, keyword)
+                return super().get_posting_block(strategy, keyword)
 
         stats = StatsRegistry()
         flaky = SlowFlaky(failures=100)
@@ -249,13 +251,13 @@ class TestFaultInjectingStore:
         assert stats.value(FAULTS_TRANSIENT) == observed > 0
 
     def test_corrupt_keywords_mangle_postings(self):
-        store = seeded_inner(corrupt_keywords={"asthma"})
-        postings = store.get_postings("graph", "asthma")
-        assert all(dewey == CORRUPT_DEWEY for dewey, _ in postings)
-        # The mangled Dewey must be undecodable downstream.
-        from repro.xmldoc.dewey import DeweyID
-        with pytest.raises(ValueError):
-            DeweyID.parse(postings[0][0])
+        stats = StatsRegistry()
+        store = seeded_inner(corrupt_keywords={"asthma"}, stats=stats)
+        # The damaged block fails its checksum when read, naming the
+        # list it was read for.
+        with pytest.raises(CorruptIndexError, match="asthma"):
+            store.get_postings("graph", "asthma")
+        assert stats.value(FAULTS_CORRUPTION) == 1
 
     def test_latency_injection_counts_sleeps(self):
         sleeps: list[float] = []
@@ -314,12 +316,13 @@ class TestRetryingBatches:
     one transaction on the inner store."""
 
     LISTS = [(f"kw{index:02d}", POSTINGS) for index in range(12)]
+    BLOCKS = [(key, encode_postings(postings)) for key, postings in LISTS]
 
     def test_postings_batch_is_one_commit(self):
         inner = SQLiteStore()
         store = RetryingStore(inner, sleep=lambda _: None)
         assert commit_count(inner, lambda: store.put_postings_many(
-            "graph", iter(self.LISTS))) == 1
+            "graph", iter(self.BLOCKS))) == 1
         assert sorted(inner.keywords("graph")) == \
             [key for key, _ in self.LISTS]
 
@@ -345,7 +348,7 @@ class TestRetryingBatches:
         store = RetryingStore(faulty, max_attempts=50, stats=stats,
                               sleep=lambda _: None)
         commits = commit_count(sqlite, lambda: store.put_postings_many(
-            "graph", iter(self.LISTS)))
+            "graph", iter(self.BLOCKS)))
         assert stats.value(FAULTS_TRANSIENT) > 0
         assert stats.value(RETRY_RECOVERIES) == 1
         # Lists written before the fault were written again.

@@ -11,7 +11,7 @@ from repro.storage import (CATALOG_KEY, MemoryStore, SegmentCatalog,
                            save_catalog, segment_namespace,
                            segment_view)
 from repro.storage.errors import CorruptIndexError, StorageError
-from repro.storage.segments import merged_keywords, merged_postings
+from repro.storage.segments import merged_block, merged_keywords
 
 
 def catalog_fixture():
@@ -129,6 +129,6 @@ class TestSegmentView:
                               "sha256:bb"),
             ))
         save_catalog(store, catalog)
-        assert merged_postings(store, catalog, "fever") == \
+        assert merged_block(store, catalog, "fever").encoded() == \
             [("1.0", 0.5)]
         assert list(merged_keywords(store, catalog)) == ["fever"]

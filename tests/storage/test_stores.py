@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.storage.codec import UnencodablePostings
 from repro.storage.interface import StorageError, canonical_dump
 from repro.storage.memory_store import MemoryStore
 from repro.storage.sqlite_store import SQLiteStore
@@ -55,9 +56,13 @@ class TestPostings:
         assert store.posting_count("graph", "nope") == 0
 
     def test_order_preserved(self, store):
-        reversed_postings = list(reversed(POSTINGS))
-        store.put_postings("graph", "asthma", reversed_postings)
-        assert store.get_postings("graph", "asthma") == reversed_postings
+        # Lists come back in the Dewey order they were written in; a
+        # list out of that order cannot be encoded as a block and is
+        # refused at write time, leaving the stored list untouched.
+        store.put_postings("graph", "asthma", POSTINGS)
+        with pytest.raises(UnencodablePostings):
+            store.put_postings("graph", "asthma", list(reversed(POSTINGS)))
+        assert store.get_postings("graph", "asthma") == POSTINGS
 
 
 class TestDocuments:

@@ -22,6 +22,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.core.config import RELATIONSHIPS
 from repro.core.index.vocabulary import default_vocabulary
 from repro.core.query.engine import XOntoRankEngine
@@ -31,11 +32,15 @@ from repro.xmldoc import Corpus
 
 BASE_DOCS = 8
 BATCH = 2
-#: Tombstoned before the compaction. The merged segment's namespace
-#: (``relationships.seg000003``) is longer than the base build's, and
-#: SQLite repeats it on every posting row, so on a corpus this small it
-#: takes a few reclaimed documents to outweigh that.
+#: Tombstoned before the compaction, so the compaction has documents
+#: to reclaim; the plain append -> compact flow, with none, is
+#: :class:`TestPlainAppendThenCompact`.
 REMOVED = 3
+#: Seeds of the plain CLI append -> compact flow. Tier 1 runs the first
+#: three; the incremental-differential CI job sets
+#: ``COMPACT_FLOW_SEEDS=10``.
+COMPACT_FLOW_SEEDS = range(
+    1, int(os.environ.get("COMPACT_FLOW_SEEDS", "3")) + 1)
 
 
 class CommitCounter:
@@ -169,3 +174,24 @@ class TestCompactionReclaimsSpace:
         with SQLiteStore(lifecycle["path"]) as store:
             store.reclaim_space()
             assert dump(store) == lifecycle["dump_before"]
+
+
+class TestPlainAppendThenCompact:
+    """The CLI flow ``tests/golden/cli_default_shards.txt`` runs -- 4
+    patients indexed, 2 appended, compacted, no document removed --
+    gives bytes back: each list's runs land in one block, and the
+    dropped segment's rows go."""
+
+    @pytest.mark.parametrize("seed", COMPACT_FLOW_SEEDS)
+    def test_compact_shrinks_the_file(self, seed, tmp_path, capsys):
+        data, store = str(tmp_path / "data"), str(tmp_path / "idx.db")
+        for patients in ("4", "6"):
+            assert main(["generate", "--out", data, "--patients",
+                         patients, "--seed", str(seed)]) == 0
+            extra = ["--append"] if patients == "6" else []
+            assert main(["index", "--data", data, "--store", store]
+                        + extra) == 0
+        before = os.path.getsize(store)
+        assert main(["compact", "--store", store]) == 0
+        assert os.path.getsize(store) < before
+        capsys.readouterr()

@@ -442,15 +442,20 @@ class TestReadPath:
 
     @staticmethod
     def _damage(source, target, keyword):
-        """Copy a SQLite store and make one row of ``keyword``'s
-        posting list undecodable."""
+        """Copy a SQLite store and flip one payload byte of
+        ``keyword``'s posting block."""
         import shutil
         import sqlite3
         shutil.copyfile(source, target)
         with sqlite3.connect(target) as connection:
+            (block,) = connection.execute(
+                "SELECT block FROM posting_blocks WHERE keyword = ?",
+                (keyword,)).fetchone()
+            damaged = bytearray(block)
+            damaged[-1] ^= 0xFF
             changed = connection.execute(
-                "UPDATE postings SET dewey = 'not-a-dewey' WHERE "
-                "keyword = ? AND position = 0", (keyword,)).rowcount
+                "UPDATE posting_blocks SET block = ? WHERE keyword = ?",
+                (bytes(damaged), keyword)).rowcount
         connection.close()
         assert changed == 1
         return target
